@@ -19,8 +19,8 @@ from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP,
                       build_binomial_deletion_channel)
 from .combinatorics import binomial_weight, binomial_weight_tilde
 from .errors import ParameterError, SolverNotConvergedError
-from .lemmas import LemmaInstance, LemmaReport
-from .tables import alpha, alpha_tilde, closed_form_f
+from .lemmas import _collect_report
+from .tables import _top_level, alpha, alpha_tilde, closed_form_f
 
 UPPER_KINDS = ("c1_star", "c2_star", "c3", "c4", "erasure")
 LOWER_KINDS = ("lower_opt", "lower_iud")
@@ -352,13 +352,6 @@ def _resolvable(table, L, R):
     return L <= table.l_max or (L, R) in table.entries
 
 
-def _top_level(table):
-    top = table.l_max
-    if table.entries:
-        top = max(top, max(L for (L, _) in table.entries))
-    return top
-
-
 def resolve_l_max(table, kind, *, D=None, R=None):
     """Largest l_max whose cells all resolve from this table without
     fresh extrapolation: walks the needed diagonal or column upward
@@ -385,16 +378,6 @@ def resolve_l_max(table, kind, *, D=None, R=None):
     return best
 
 
-def _trend_report(report_id, rows, combined_tolerance):
-    checked, violations = [], []
-    for parameters, left, right in rows:
-        inst = LemmaInstance(parameters, left, right)
-        checked.append(inst)
-        if inst.slack < -combined_tolerance:
-            violations.append(inst)
-    return LemmaReport(report_id, checked, violations, 0)
-
-
 def conjecture1_report(d, table, *, max_c4_level=6,
                        solver_tolerance=DEFAULT_TOLERANCE,
                        combined_tolerance=1e-9):
@@ -406,7 +389,7 @@ def conjecture1_report(d, table, *, max_c4_level=6,
     reports = []
 
     c3_values = [bound_c3(L, d, table) for L in range(1, table.l_max + 1)]
-    reports.append(_trend_report(
+    reports.append(_collect_report(
         "conjecture1_c3",
         [({"L": L}, c3_values[L], c3_values[L - 1])
          for L in range(1, len(c3_values))],
@@ -417,7 +400,7 @@ def conjecture1_report(d, table, *, max_c4_level=6,
                           l_cap=table.l_cap,
                           entry_budget=table.entry_budget)
                  for L in range(1, max_c4_level + 1)]
-    reports.append(_trend_report(
+    reports.append(_collect_report(
         "conjecture1_c4",
         [({"L": L}, c4_values[L], c4_values[L - 1])
          for L in range(1, len(c4_values))],
@@ -427,7 +410,7 @@ def conjecture1_report(d, table, *, max_c4_level=6,
     for D in range(table.l_max + 1):
         c1_values.append(bound_c1_star(
             D, resolve_l_max(table, "c1_star", D=D), d, table))
-    reports.append(_trend_report(
+    reports.append(_collect_report(
         "conjecture1_c1_star",
         [({"D": D}, c1_values[D], c1_values[D - 1])
          for D in range(1, len(c1_values))],
@@ -436,7 +419,7 @@ def conjecture1_report(d, table, *, max_c4_level=6,
     c2_values = [bound_c2_star(R, resolve_l_max(table, "c2_star", R=R),
                                d, table)
                  for R in range(table.l_max + 1)]
-    reports.append(_trend_report(
+    reports.append(_collect_report(
         "conjecture1_c2_star",
         [({"R": R}, c2_values[R], c2_values[R - 1])
          for R in range(1, len(c2_values))],

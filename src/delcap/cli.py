@@ -170,23 +170,33 @@ def _gate_long(config, value, what):
             " pass --allow-long to proceed")
 
 
-def _table_kwargs(config):
-    return dict(tolerance=config.solver_tolerance,
-                max_iterations=config.max_iterations,
-                entry_budget=config.entry_budget)
+def _open_table(config):
+    """The context table and the depth the command works to.
 
-
-def _load_context_table(config):
+    The table is the --cache file when it exists, else a fresh table at
+    --l-max or DEFAULT_L_MAX. The depth is --l-max when given, else the
+    table's own depth.
+    """
+    if config.l_max is not None and config.l_max < 0:
+        raise ParameterError("--l-max must be non-negative")
+    kwargs = dict(tolerance=config.solver_tolerance,
+                  max_iterations=config.max_iterations,
+                  entry_budget=config.entry_budget)
     if config.cache_path and os.path.exists(config.cache_path):
-        return load_table(config.cache_path, **_table_kwargs(config))
-    return CoefficientTable(l_max=0, **_table_kwargs(config))
+        table = load_table(config.cache_path, **kwargs)
+    else:
+        table = CoefficientTable(
+            l_max=DEFAULT_L_MAX if config.l_max is None else config.l_max,
+            **kwargs)
+    return table, table.l_max if config.l_max is None else config.l_max
 
 
-def _default_depth(config, table):
-    # a loaded cache speaks for itself; a fresh table gets the stock depth
-    if table.l_max == 0 and not table.entries:
-        table.l_max = config.l_max if config.l_max is not None else DEFAULT_L_MAX
-    return config.l_max if config.l_max is not None else table.l_max
+def _reserve(config, table, depth, what="l_max"):
+    """Gate a depth the command may solve cells at, then raise the table
+    to it. Levels that resolve_l_max reads from the cache solve nothing,
+    so they are never gated."""
+    _gate_long(config, depth, what)
+    table.l_max = max(table.l_max, depth)
 
 
 def _family_l_max(config, table, kind, **anchor):
@@ -224,9 +234,9 @@ def _run_table(config):
         diag = l_max
     if diag < l_max:
         return _usage("--diag-l-max must be at least --l-max")
-    _gate_long(config, max(l_max, diag), "l_max")
-    table = _load_context_table(config)
-    table.l_max = max(table.l_max, l_max)
+    _gate_long(config, diag, "l_max")
+    table, _ = _open_table(config)
+    _reserve(config, table, l_max)
     populate_table(table, diagonal_l_max=max(diag, table.l_max),
                    jobs=config.jobs)
     if config.cache_path:
@@ -235,61 +245,62 @@ def _run_table(config):
     return 0
 
 
-def _resolve_kind_spec(config, table):
+def _plan_specs(config, table, depth):
+    """The BoundSpecs that --kind stands for, with the table reserved to
+    the depth they read.
+
+    c1_star without --D scans every D up to the depth; `best` takes both
+    genie families and c3 up to the depth, plus c4 at --L. The c1_star
+    and c2_star depths are resolved before the table is raised past
+    `depth`: a deeper table makes more cells resolvable and would move
+    them.
+    """
     kind, tol = config.kind, config.solver_tolerance
     if kind == "erasure":
-        return BoundSpec("erasure", {}, tol)
+        return [BoundSpec("erasure", {}, tol)]
     if kind in ("c3", "c4", "lower"):
         if config.L is None:
             raise ParameterError(f"--kind {kind} needs --L")
+        if kind == "lower":
+            kind = "lower_opt" if config.policy == "optimized" else "lower_iud"
+        spec = BoundSpec(kind, {"L": config.L}, tol)
         if kind == "c3":
-            return BoundSpec("c3", {"L": config.L}, tol)
-        if kind == "c4":
-            return BoundSpec("c4", {"L": config.L}, tol)
-        actual = "lower_opt" if config.policy == "optimized" else "lower_iud"
-        return BoundSpec(actual, {"L": config.L}, tol)
+            _reserve(config, table, config.L)
+        else:
+            _gate_long(config, config.L, "L")
+        return [spec]
+    if kind == "c2_star" and config.R is None:
+        raise ParameterError("--kind c2_star needs --R")
+
+    def family(name, key, anchor, **extra):
+        l_max = _family_l_max(config, table, name, **{key: anchor})
+        return BoundSpec(name, {key: anchor, "l_max": l_max, **extra}, tol)
+
     if kind == "c1_star":
-        if config.D is None:
-            raise ParameterError(
-                "--kind c1_star needs --D here; only sweeps may omit it")
-        parameters = {"D": config.D,
-                      "l_max": _family_l_max(config, table, "c1_star",
-                                             D=config.D)}
-        if config.tail_cut is not None:
-            parameters["tail_cut"] = config.tail_cut
-        return BoundSpec("c1_star", parameters, tol)
-    if kind == "c2_star":
-        if config.R is None:
-            raise ParameterError("--kind c2_star needs --R")
-        return BoundSpec("c2_star",
-                         {"R": config.R,
-                          "l_max": _family_l_max(config, table, "c2_star",
-                                                 R=config.R)}, tol)
-    raise ParameterError(f"--kind {kind} is not a single bound")
-
-
-def _prepare_table_for_spec(config, table, spec):
-    if spec.kind == "c3":
-        needed = spec.parameters["L"]
-    elif spec.kind in ("c1_star", "c2_star"):
-        needed = spec.parameters["l_max"]
+        tail = {} if config.tail_cut is None else {"tail_cut": config.tail_cut}
+        counts = range(depth + 1) if config.D is None else (config.D,)
+        specs = [family("c1_star", "D", D, **tail) for D in counts]
+    elif kind == "c2_star":
+        specs = [family("c2_star", "R", config.R)]
     else:
-        needed = 0
-    if needed:
-        _gate_long(config, needed, "l_max")
-        table.l_max = max(table.l_max, needed)
-    if spec.kind in ("c4", "lower_opt", "lower_iud"):
-        _gate_long(config, spec.parameters["L"], "L")
+        specs = ([family("c1_star", "D", D) for D in range(depth + 1)]
+                 + [family("c2_star", "R", R) for R in range(depth + 1)]
+                 + [BoundSpec("c3", {"L": L}, tol)
+                    for L in range(1, depth + 1)])
+    _reserve(config, table, depth)
+    if kind == "best" and config.L is not None:
+        _gate_long(config, config.L, "L")
+        specs.append(BoundSpec("c4", {"L": config.L}, tol))
+    return specs
 
 
 def _run_bound(config):
     if config.kind == "best":
         return _usage("--kind best is available in sweep only")
-    table = _load_context_table(config)
-    if config.kind in ("c1_star", "c2_star") and config.l_max is None:
-        _default_depth(config, table)
-    spec = _resolve_kind_spec(config, table)
-    _prepare_table_for_spec(config, table, spec)
+    if config.kind == "c1_star" and config.D is None:
+        return _usage("--kind c1_star needs --D here; only sweeps may omit it")
+    table, depth = _open_table(config)
+    (spec,) = _plan_specs(config, table, depth)
     value = evaluate_bound(spec, config.d, table)
     rows = [(spec.kind, spec.parameters, config.d, value, spec.side,
              spec.solver_tolerance)]
@@ -297,75 +308,32 @@ def _run_bound(config):
     return 0
 
 
-def _sweep_c1_scan(config, table, grid):
-    top = _default_depth(config, table)
-    _gate_long(config, top, "l_max")
-    specs = []
-    for D in range(top + 1):
-        parameters = {"D": D,
-                      "l_max": _family_l_max(config, table, "c1_star", D=D)}
-        if config.tail_cut is not None:
-            parameters["tail_cut"] = config.tail_cut
-        specs.append(BoundSpec("c1_star", parameters, config.solver_tolerance))
-    table.l_max = max(table.l_max, top)
-    rows = []
-    for d in grid:
-        if d == 0.0 or d == 1.0:
-            rows.append(("c1_star", specs[0].parameters, d, 1.0 - d, "upper",
-                         config.solver_tolerance))
-            continue
-        best_value, best_spec = None, None
-        for spec in specs:
-            value = evaluate_bound(spec, d, table)
-            if best_value is None or value < best_value:
-                best_value, best_spec = value, spec
-        rows.append(("c1_star", best_spec.parameters, d, best_value, "upper",
-                     config.solver_tolerance))
-    return rows
-
-
-def _sweep_best(config, table, grid):
-    top = _default_depth(config, table)
-    _gate_long(config, top, "l_max")
-    table.l_max = max(table.l_max, top)
-    tol = config.solver_tolerance
-    specs = []
-    for D in range(top + 1):
-        specs.append(BoundSpec(
-            "c1_star", {"D": D, "l_max": _family_l_max(config, table,
-                                                       "c1_star", D=D)}, tol))
-    for R in range(top + 1):
-        specs.append(BoundSpec(
-            "c2_star", {"R": R, "l_max": _family_l_max(config, table,
-                                                       "c2_star", R=R)}, tol))
-    for L in range(1, top + 1):
-        specs.append(BoundSpec("c3", {"L": L}, tol))
-    if config.L is not None:
-        _gate_long(config, config.L, "L")
-        specs.append(BoundSpec("c4", {"L": config.L}, tol))
-    rows = []
-    for d in grid:
-        if d == 0.0 or d == 1.0:
-            rows.append(("best", {"winner": "erasure"}, d, 1.0 - d, "upper",
-                         tol))
-            continue
+def _pointwise_row(config, specs, d, table):
+    """One row of a multi-spec sweep: the pointwise minimum over specs,
+    or the closed form at the endpoints. `best` names the winning family.
+    A c1_star scan names the winning D; it reports an erasure win as its
+    D=0 spec, whose value is the erasure bound itself."""
+    if d == 0.0 or d == 1.0:
+        value, winner = 1.0 - d, BoundSpec("erasure")
+    else:
         value, winner = compose_best_upper(d, specs, table)
-        parameters = dict(winner.parameters)
-        parameters["winner"] = winner.kind
-        rows.append(("best", parameters, d, value, "upper", tol))
-    return rows
+    if config.kind == "best":
+        parameters = {**winner.parameters, "winner": winner.kind}
+    else:
+        parameters = (specs[0] if winner.kind == "erasure"
+                      else winner).parameters
+    return (config.kind, parameters, d, value, "upper",
+            config.solver_tolerance)
 
 
 def _run_sweep(config):
     grid = d_grid(*(config.grid if config.grid is not None else DEFAULT_GRID))
-    table = _load_context_table(config)
-    if config.kind == "best":
-        rows = _sweep_best(config, table, grid)
-    elif config.kind == "c1_star" and config.D is None:
-        rows = _sweep_c1_scan(config, table, grid)
+    table, depth = _open_table(config)
+    specs = _plan_specs(config, table, depth)
+    if len(specs) > 1:
+        rows = [_pointwise_row(config, specs, d, table) for d in grid]
     else:
-        spec = _resolve_kind_spec(config, table)
-        _prepare_table_for_spec(config, table, spec)
+        (spec,) = specs
         curve = sweep_bound(spec, grid, table, jobs=config.jobs)
         rows = [(spec.kind, spec.parameters, d, value, side,
                  spec.solver_tolerance)
@@ -377,23 +345,20 @@ def _run_sweep(config):
 def _run_limits(config):
     if config.L is None and config.R is None:
         return _usage("limits needs --L and/or --R")
-    table = _load_context_table(config)
-    _default_depth(config, table)
+    table, depth = _open_table(config)
     tol = config.solver_tolerance
     rows = []
     if config.L is not None:
-        _gate_long(config, config.L, "L")
-        table.l_max = max(table.l_max, config.L)
+        _reserve(config, table, config.L, "L")
         rows.append(("limit_small_d_c3", {"L": config.L}, 0.0,
                      limit_small_d_c3(config.L, table), "lower", tol))
     if config.R is not None:
-        _gate_long(config, config.R + 1, "L")
-        table.l_max = max(table.l_max, config.R + 1)
+        _reserve(config, table, config.R + 1, "L")
         rows.append(("limit_small_d_c2", {"R": config.R}, 0.0,
                      limit_small_d_c2(config.R, table), "lower", tol))
+        # resolved after the raises to --L and R+1, which it may use
+        _reserve(config, table, depth)
         lm = _family_l_max(config, table, "c2_star", R=config.R)
-        _gate_long(config, lm, "l_max")
-        table.l_max = max(table.l_max, lm)
         rows.append(("limit_large_d_c2", {"R": config.R, "l_max": lm}, 1.0,
                      limit_large_d_c2(config.R, lm, table), "upper", tol))
     _write_output(config, _csv(rows))
@@ -401,10 +366,8 @@ def _run_limits(config):
 
 
 def _run_verify(config):
-    table = _load_context_table(config)
-    depth = _default_depth(config, table)
-    _gate_long(config, depth, "l_max")
-    table.l_max = max(table.l_max, depth)
+    table, depth = _open_table(config)
+    _reserve(config, table, depth)
     populate_table(table, diagonal_l_max=table.l_max, jobs=config.jobs)
     reports = verify_lemma_suite(table)
     _write_output(config,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ExtrapolationRequiredError, ParameterError
-from .tables import f_value
+from .tables import _top_level, f_value
 
 DEFAULT_COMBINED_TOLERANCE = 1e-9
 
@@ -78,16 +78,10 @@ class _Resolver:
         f_lo = self.f(L, R, "lower")
         return None if f_lo is None else R - f_lo
 
-    def top_level(self):
-        top = self.table.l_max
-        if self.table.entries:
-            top = max(top, max(L for (L, _) in self.table.entries))
-        return top
-
 
 def _lemma1(res, emit):
     # f(L+1, R) <= f(L, R): extra input bits never help at fixed outputs
-    for L in range(res.top_level()):
+    for L in range(_top_level(res.table)):
         for R in range(L + 1):
             left = res.f(L + 1, R, "lower")
             right = res.f(L, R, "upper")
@@ -96,7 +90,7 @@ def _lemma1(res, emit):
 
 def _lemma2(res, emit):
     # alpha(L, R) <= alpha(L+1, R): the gap never shrinks with length
-    for L in range(res.top_level()):
+    for L in range(_top_level(res.table)):
         for R in range(L + 1):
             emit({"L": L, "R": R},
                  res.alpha_low(L, R), res.alpha_high(L + 1, R))
@@ -105,7 +99,7 @@ def _lemma2(res, emit):
 def _lemma3(res, emit):
     # one more bit and the same deletion count: conditioning on whether
     # the new bit survives splits f~(L+1, D) between the two neighbours
-    for L in range(1, res.top_level()):
+    for L in range(1, _top_level(res.table)):
         for D in range(1, L + 1):
             left = res.f(L + 1, L + 1 - D, "lower")
             a = res.f(L, L - D + 1, "upper")
@@ -119,7 +113,7 @@ def _lemma3(res, emit):
 
 def _lemma4(res, emit):
     # alpha~(L+1, D) >= alpha~(L, D) (1 - D/(L+1))
-    for L in range(res.top_level()):
+    for L in range(_top_level(res.table)):
         for D in range(L + 1):
             low = res.alpha_low(L, L - D)
             high = res.alpha_high(L + 1, L + 1 - D)
@@ -130,7 +124,7 @@ def _lemma4(res, emit):
 
 
 def _multiples(res):
-    top = res.top_level()
+    top = _top_level(res.table)
     for L in range(1, top + 1):
         for n in range(2, top // L + 1):
             yield L, n
@@ -157,7 +151,7 @@ def _lemma6(res, emit):
 
 def _lemma7(res, emit):
     # f~(L+1, 1) >= f~(L, 1) + 1 - 1/(L+1) - h(1/(L+1))
-    for L in range(1, res.top_level()):
+    for L in range(1, _top_level(res.table)):
         base = res.f(L, L - 1, "lower")
         nxt = res.f(L + 1, L, "upper")
         if base is None or nxt is None:
@@ -170,7 +164,7 @@ def _lemma7(res, emit):
 def _lemma8(res, emit):
     # single-deletion gap grows, but by less than the entropy of where
     # the deletion landed
-    for L in range(1, res.top_level()):
+    for L in range(1, _top_level(res.table)):
         low_now = res.alpha_low(L, L - 1)
         high_now = res.alpha_high(L, L - 1)
         low_next = res.alpha_low(L + 1, L)
@@ -187,7 +181,7 @@ def _lemma8(res, emit):
 
 def _lemma9(res, emit):
     # both sides of the increment f~(L+1, 1) - f~(L, 1)
-    for L in range(1, res.top_level()):
+    for L in range(1, _top_level(res.table)):
         lo_now = res.f(L, L - 1, "lower")
         hi_now = res.f(L, L - 1, "upper")
         lo_next = res.f(L + 1, L, "lower")
@@ -209,23 +203,21 @@ _BUILDERS = {
 }
 
 
-def _run_builder(lemma_id, builder, table, combined_tolerance):
-    res = _Resolver(table)
+def _collect_report(report_id, rows, combined_tolerance):
+    """LemmaReport over (parameters, left, right) rows: a row missing a
+    side (None) is skipped, and a slack below -combined_tolerance is a
+    violation."""
     checked, violations = [], []
     skipped = 0
-
-    def emit(parameters, left, right):
-        nonlocal skipped
+    for parameters, left, right in rows:
         if left is None or right is None:
             skipped += 1
-            return
+            continue
         inst = LemmaInstance(parameters, left, right)
         checked.append(inst)
         if inst.slack < -combined_tolerance:
             violations.append(inst)
-
-    builder(res, emit)
-    return LemmaReport(lemma_id, checked, violations, skipped)
+    return LemmaReport(report_id, checked, violations, skipped)
 
 
 def verify_lemma(lemma_id, table,
@@ -235,8 +227,10 @@ def verify_lemma(lemma_id, table,
                              f"expected one of {', '.join(LEMMA_IDS)}")
     if combined_tolerance < 0.0:
         raise ParameterError("combined_tolerance must be non-negative")
-    return _run_builder(lemma_id, _BUILDERS[lemma_id], table,
-                        combined_tolerance)
+    rows = []
+    _BUILDERS[lemma_id](_Resolver(table),
+                        lambda *row: rows.append(row))
+    return _collect_report(lemma_id, rows, combined_tolerance)
 
 
 def verify_lemma_suite(table, combined_tolerance=DEFAULT_COMBINED_TOLERANCE):
@@ -250,17 +244,12 @@ def conjecture2_report(table, combined_tolerance=DEFAULT_COMBINED_TOLERANCE):
     is non-decreasing in L. Bracket midpoints carry solver error, so a
     small negative slack here is only worth a look, not an alarm."""
     res = _Resolver(table)
-    checked, violations = [], []
-    skipped = 0
-    for L in range(1, res.top_level()):
+    rows = []
+    for L in range(1, _top_level(table)):
         lo_a, hi_a = res.alpha_low(L, L - 1), res.alpha_high(L, L - 1)
         lo_b, hi_b = res.alpha_low(L + 1, L), res.alpha_high(L + 1, L)
         if None in (lo_a, hi_a, lo_b, hi_b):
-            skipped += 1
-            continue
-        inst = LemmaInstance({"L": L}, (lo_a + hi_a) / 2.0,
-                             (lo_b + hi_b) / 2.0)
-        checked.append(inst)
-        if inst.slack < -combined_tolerance:
-            violations.append(inst)
-    return LemmaReport("conjecture2", checked, violations, skipped)
+            rows.append(({"L": L}, None, None))
+        else:
+            rows.append(({"L": L}, (lo_a + hi_a) / 2.0, (lo_b + hi_b) / 2.0))
+    return _collect_report("conjecture2", rows, combined_tolerance)

@@ -90,6 +90,12 @@ def closed_form_f(L, R):
     return None
 
 
+def _top_level(table):
+    """Deepest block length the table serves: its full-row depth, or the
+    longest single cached cell beyond it (the R = L-1 diagonal)."""
+    return max([table.l_max] + [L for (L, _) in table.entries])
+
+
 def _check_side(side):
     if side not in ("lower", "upper"):
         raise ParameterError(f"side must be 'lower' or 'upper', got {side!r}")

@@ -6,7 +6,7 @@ import pytest
 
 import delcap
 from delcap import (CoefficientTable, TableEntry, bound_c2_star, bound_c3,
-                    load_table, populate_table, save_table)
+                    load_table, populate_table, resolve_l_max, save_table)
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, main
 
 
@@ -94,6 +94,29 @@ class TestBoundCommand:
         assert code == 1
         assert "--D" in err
 
+    def test_levels_read_from_cache_need_no_allow_long(self, capsys,
+                                                       tmp_path):
+        # only the single-deletion diagonal passes the quick-run limit;
+        # reading it solves nothing, so bound serves it like the scan does
+        cache = str(tmp_path / "d16.txt")
+        assert run_cli(capsys, "table", "--l-max", "5", "--diag-l-max", "16",
+                       "--allow-long", "--cache", cache)[0] == 0
+        code, out, err = run_cli(capsys, "bound", "--kind", "c1_star",
+                                 "--D", "1", "--d", "0.5", "--cache", cache)
+        assert code == 0, err
+        (row,) = rows_of(out)
+        assert row[1] == "D=1;l_max=16"
+        code, scan, _ = run_cli(capsys, "sweep", "--kind", "c1_star",
+                                "--d-grid", "0.5:0.5:0.1", "--cache", cache)
+        assert code == 0
+        assert rows_of(scan) == [row]
+        # a depth the command would solve rows at still needs the flag
+        code, _, err = run_cli(capsys, "bound", "--kind", "c1_star",
+                               "--D", "1", "--d", "0.5", "--l-max", "16",
+                               "--cache", cache)
+        assert code == 1
+        assert "--allow-long" in err
+
     def test_best_is_sweep_only(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--kind", "best", "--d", "0.4")
         assert code == 1
@@ -111,14 +134,36 @@ class TestBoundCommand:
 
 
 class TestSweepCommand:
-    def test_endpoint_rows_are_closed_form(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--kind", "c4", "--L", "2",
-                               "--d-grid", "0:1:0.5")
+    def test_endpoint_rows_are_closed_form(self, capsys, table_cache_path,
+                                           default_table):
+        # the multi-spec sweeps label their endpoints too: a c1_star scan
+        # names its D=0 spec (the erasure bound itself), `best` erasure
+        scan = f"D=0;l_max={resolve_l_max(default_table, 'c1_star', D=0)}"
+        cases = ((("--kind", "c4", "--L", "2"), "L=2"),
+                 (("--kind", "c1_star", "--cache", table_cache_path), scan),
+                 (("--kind", "best", "--cache", table_cache_path),
+                  "winner=erasure"))
+        for args, params in cases:
+            code, out, _ = run_cli(capsys, "sweep", *args,
+                                   "--d-grid", "0:1:0.5")
+            assert code == 0
+            rows = rows_of(out)
+            assert [row[2] for row in rows] == ["0.0", "0.5", "1.0"]
+            assert rows[0][3] == "1.0"
+            assert rows[-1][3] == "0.0"
+            assert rows[0][1] == rows[-1][1] == params
+
+    @pytest.mark.parametrize("family", [("--kind", "c1_star", "--D", "3"),
+                                        ("--kind", "c2_star", "--R", "4")],
+                             ids=["c1_star", "c2_star"])
+    def test_single_family_without_cache_matches_bound(self, capsys, family):
+        # without --cache, sweep and bound both work to the default depth
+        code, out, err = run_cli(capsys, "sweep", *family,
+                                 "--d-grid", "0:1:0.5")
+        assert code == 0, err
+        code, row, _ = run_cli(capsys, "bound", *family, "--d", "0.5")
         assert code == 0
-        rows = rows_of(out)
-        assert [row[2] for row in rows] == ["0.0", "0.5", "1.0"]
-        assert rows[0][3] == "1.0"
-        assert rows[-1][3] == "0.0"
+        assert rows_of(out)[1] == rows_of(row)[0]
 
     def test_c4_curve_decreases(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--kind", "c4", "--L", "2",
@@ -236,6 +281,13 @@ class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys):
         assert run_cli(capsys, "bound", "--kind", "c3", "--L", "3",
                        "--d", "0.5", "--frobnicate")[0] == 1
+
+    def test_negative_depth_is_input_error(self, capsys, table_cache_path):
+        code, _, err = run_cli(capsys, "sweep", "--kind", "c1_star",
+                               "--l-max", "-1", "--cache", table_cache_path,
+                               "--d-grid", "0.5:0.5:0.1")
+        assert code == 1
+        assert "--l-max" in err
 
     def test_bad_parameter_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--kind", "c3", "--L", "0",
