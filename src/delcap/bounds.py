@@ -193,6 +193,18 @@ def bound_c3(L, d, table):
     return 1.0 - d - gap / L
 
 
+def _solve_binomial(what, L, d, solver_tolerance, max_iterations, **limits):
+    """Solve the binomial channel at (L, d); `what` names the bound in
+    the error raised when the bracket does not close."""
+    channel = build_binomial_deletion_channel(L, d, **limits)
+    result = solve_capacity(channel, solver_tolerance, max_iterations)
+    if not result.converged:
+        raise SolverNotConvergedError(
+            f"{what} solve at L={L}, d={d} stuck at bracket width "
+            f"{result.tolerance_achieved}", result=result)
+    return result
+
+
 def bound_c4(L, d, solver_tolerance=DEFAULT_TOLERANCE, *,
              max_iterations=DEFAULT_MAX_ITERATIONS, l_cap=DEFAULT_L_CAP,
              entry_budget=DEFAULT_ENTRY_BUDGET):
@@ -203,13 +215,8 @@ def bound_c4(L, d, solver_tolerance=DEFAULT_TOLERANCE, *,
     can poke past it by tolerance/L; the min against the erasure bound
     keeps the certificate without giving anything up.
     """
-    channel = build_binomial_deletion_channel(L, d, l_cap=l_cap,
-                                              entry_budget=entry_budget)
-    result = solve_capacity(channel, solver_tolerance, max_iterations)
-    if not result.converged:
-        raise SolverNotConvergedError(
-            f"c4 solve at L={L}, d={d} stuck at bracket width "
-            f"{result.tolerance_achieved}", result=result)
+    result = _solve_binomial("c4", L, d, solver_tolerance, max_iterations,
+                             l_cap=l_cap, entry_budget=entry_budget)
     return min(result.capacity_upper / L, 1.0 - d)
 
 
@@ -228,16 +235,13 @@ def lower_bound(L, d, distribution_policy="optimized",
         raise ParameterError(
             f"distribution_policy must be 'optimized' or 'iud', "
             f"got {distribution_policy!r}")
-    channel = build_binomial_deletion_channel(L, d, l_cap=l_cap,
-                                              entry_budget=entry_budget)
     if distribution_policy == "optimized":
-        result = solve_capacity(channel, solver_tolerance, max_iterations)
-        if not result.converged:
-            raise SolverNotConvergedError(
-                f"lower bound solve at L={L}, d={d} stuck at bracket "
-                f"width {result.tolerance_achieved}", result=result)
-        info = result.capacity_lower
+        info = _solve_binomial("lower bound", L, d, solver_tolerance,
+                               max_iterations, l_cap=l_cap,
+                               entry_budget=entry_budget).capacity_lower
     else:
+        channel = build_binomial_deletion_channel(L, d, l_cap=l_cap,
+                                                  entry_budget=entry_budget)
         uniform = np.full(channel.input_count, 1.0 / channel.input_count)
         info = mutual_information(channel, uniform)
     overhead = 0.0

@@ -12,15 +12,16 @@ Transition rows are stored CSR-style over integer ids; labels stay
 implicit until asked for. Counts are assembled either by a dense dynamic
 program over (prefix of input, prefix of output) or, when the deletion
 pattern count is small, by enumerating the patterns directly; both give
-identical integers.
+identical integers. The binomial family reuses them: its count skeleton
+is the fixed-deletion blocks (L, 0), ..., (L, L) stacked side by side,
+and d only weights block r by d^(L-r) (1-d)^r.
 """
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import sparse
@@ -223,8 +224,7 @@ def _check_block_params(L, R, l_cap):
 
 
 def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
-                                 entry_budget=DEFAULT_ENTRY_BUDGET,
-                                 method="auto"):
+                                 entry_budget=DEFAULT_ENTRY_BUDGET):
     """Channel that deletes exactly L - R bits, uniformly over patterns.
 
     P(b | a) = embedding_count(a, b) / C(L, L - R); every row is a list of
@@ -237,7 +237,7 @@ def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
         raise ResourceLimitError(
             f"fixed channel ({L},{R}) may need {worst} entries,"
             f" budget {entry_budget}")
-    indptr, cols, counts = _subsequence_counts(L, R, method)
+    indptr, cols, counts = _subsequence_counts(L, R)
     return SparseChannel(
         indptr=indptr,
         indices=cols,
@@ -250,50 +250,25 @@ def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
     )
 
 
-# d-independent skeleton of the binomial family, cached per block length
-_binomial_cache = {}
-_binomial_cache_lock = threading.Lock()
-
-
 def _binomial_entry_estimate(L):
     # pre-allocation estimate: per row at most min(C(L,r), 2^r) outputs of length r
     return sum(min(math.comb(L, r), 1 << r) for r in range(L + 1)) << L
 
 
-def _output_label_arrays(L):
-    n_out = (1 << (L + 1)) - 1
-    lengths = np.zeros(n_out, dtype=np.int8)
-    values = np.zeros(n_out, dtype=np.int64)
-    for r in range(L + 1):
-        lo, hi = (1 << r) - 1, (1 << (r + 1)) - 1
-        lengths[lo:hi] = r
-        values[lo:hi] = np.arange(hi - lo)
-    return lengths, values
-
-
+@cache
 def _binomial_structure(L):
-    with _binomial_cache_lock:
-        cached = _binomial_cache.get(L)
-    if cached is not None:
-        return cached
-    n_in = 1 << L
-    parts = []
-    for r in range(L + 1):
-        indptr_r, cols_r, counts_r = _subsequence_counts(L, r)
-        rows_r = np.repeat(np.arange(n_in, dtype=np.int64), np.diff(indptr_r))
-        parts.append((rows_r, cols_r + ((1 << r) - 1), counts_r))
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    counts = np.concatenate([p[2] for p in parts])
-    order = np.lexsort((cols, rows))
-    rows, cols, counts = rows[order], cols[order], counts[order]
-    indptr = np.zeros(n_in + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_in), out=indptr[1:])
-    lengths, values = _output_label_arrays(L)
-    structure = (indptr, cols, counts, lengths, values)
-    with _binomial_cache_lock:
-        _binomial_cache[L] = structure
-    return structure
+    """d-independent skeleton of the binomial family: the fixed-deletion
+    count blocks (L, r), r = 0..L, stacked side by side. Length-r outputs
+    take ids from 2^r - 1 on, so the stack keeps every row sorted."""
+    # (indptr, cols, counts) reversed is scipy's (data, indices, indptr)
+    blocks = [sparse.csr_array(_subsequence_counts(L, r)[::-1],
+                               shape=(1 << L, 1 << r)) for r in range(L + 1)]
+    stacked = sparse.hstack(blocks, format="csr")
+    sizes = [1 << r for r in range(L + 1)]
+    return (stacked.indptr.astype(np.int64), stacked.indices.astype(np.int64),
+            stacked.data,
+            np.repeat(np.arange(L + 1, dtype=np.int8), sizes),
+            np.concatenate([np.arange(size) for size in sizes]))
 
 
 def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
@@ -302,8 +277,9 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
 
     P(y | x) = embedding_count(x, y) d^(L-|y|) (1-d)^|y| over outputs of
     every length 0..L; the empty string is a first-class output. The
-    d-independent count skeleton is cached per L, so sweeping d only
-    rescales probabilities.
+    d-independent count skeleton, the stacked fixed-deletion count blocks
+    (L, r) for r = 0..L, is cached per L, so sweeping d only rescales
+    probabilities.
     """
     if L < 1:
         raise ParameterError(f"need L >= 1, got L={L}")

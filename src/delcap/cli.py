@@ -349,18 +349,21 @@ def _run_limits(config):
     tol = config.solver_tolerance
     rows = []
     if config.L is not None:
-        _reserve(config, table, config.L, "L")
-        rows.append(("limit_small_d_c3", {"L": config.L}, 0.0,
-                     limit_small_d_c3(config.L, table), "lower", tol))
+        _gate_long(config, config.L, "L")
     if config.R is not None:
+        # resolved on the table raised to R+1 and the command depth, before
+        # the raise to --L, which would move it
         _reserve(config, table, config.R + 1, "L")
-        rows.append(("limit_small_d_c2", {"R": config.R}, 0.0,
-                     limit_small_d_c2(config.R, table), "lower", tol))
-        # resolved after the raises to --L and R+1, which it may use
         _reserve(config, table, depth)
         lm = _family_l_max(config, table, "c2_star", R=config.R)
-        rows.append(("limit_large_d_c2", {"R": config.R, "l_max": lm}, 1.0,
-                     limit_large_d_c2(config.R, lm, table), "upper", tol))
+        rows += [("limit_small_d_c2", {"R": config.R}, 0.0,
+                  limit_small_d_c2(config.R, table), "lower", tol),
+                 ("limit_large_d_c2", {"R": config.R, "l_max": lm}, 1.0,
+                  limit_large_d_c2(config.R, lm, table), "upper", tol)]
+    if config.L is not None:
+        _reserve(config, table, config.L, "L")
+        rows.insert(0, ("limit_small_d_c3", {"L": config.L}, 0.0,
+                        limit_small_d_c3(config.L, table), "lower", tol))
     _write_output(config, _csv(rows))
     return 0
 

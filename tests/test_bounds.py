@@ -9,6 +9,7 @@ from delcap import (BoundSpec, ParameterError, SolverNotConvergedError,
                     limit_large_d_c2, limit_small_d_c2, limit_small_d_c3,
                     lower_bound, resolve_l_max, solve_capacity, sweep_bound)
 from delcap.bounds import BOUND_KINDS, LOWER_KINDS, UPPER_KINDS
+from delcap.channel import _binomial_structure
 from delcap.tables import CoefficientTable
 
 from reference_values import (ALPHA_TILDE_DIAGONAL, PRIOR_LARGE_D_LOWER,
@@ -198,9 +199,13 @@ class TestC4:
         for d in (0.1, 0.5, 0.9):
             assert bound_c4(8, d) <= bound_c3(8, d, default_table) + 2 * 5e-3
 
-    def test_non_convergence_raises(self):
+    @pytest.mark.parametrize("solve", [
+        lambda: bound_c4(3, 0.5, max_iterations=1),
+        lambda: lower_bound(3, 0.5, "optimized", max_iterations=1),
+    ], ids=["c4", "lower_opt"])
+    def test_non_convergence_raises(self, solve):
         with pytest.raises(SolverNotConvergedError) as err:
-            bound_c4(3, 0.5, max_iterations=1)
+            solve()
         assert err.value.result is not None
         assert not err.value.result.converged
 
@@ -362,6 +367,8 @@ class TestGridAndSweep:
         spec = BoundSpec("c4", {"L": 4})
         grid = d_grid(0.2, 0.8, 0.2)
         serial = sweep_bound(spec, grid, default_table)
+        # the threads race to build the skeleton cold
+        _binomial_structure.cache_clear()
         parallel = sweep_bound(spec, grid, default_table, jobs=3)
         assert serial.points == parallel.points
 

@@ -245,6 +245,17 @@ class TestLimitsCommand:
         assert rows[2][1] == "R=4;l_max=12"
         assert 3.0 < float(rows[0][3]) < 3.2
 
+    def test_block_length_leaves_survivor_rows_alone(self, capsys, tmp_path):
+        cache = str(tmp_path / "l5.txt")
+        assert run_cli(capsys, "table", "--l-max", "5", "--cache", cache)[0] == 0
+        _, alone, _ = run_cli(capsys, "limits", "--R", "4", "--cache", cache)
+        code, both, _ = run_cli(capsys, "limits", "--L", "10", "--R", "4",
+                                "--cache", cache)
+        assert code == 0
+        assert rows_of(alone)[1][1] == "R=4;l_max=5"
+        assert rows_of(both)[0][1] == "L=10"
+        assert rows_of(both)[1:] == rows_of(alone)
+
     def test_needs_a_parameter(self, capsys):
         code, _, err = run_cli(capsys, "limits")
         assert code == 1
