@@ -7,6 +7,16 @@ divergence from the induced output distribution is a certified upper
 estimate, so the returned bracket contains the true capacity no matter
 where the iteration stops. All internal work is in nats; results are
 converted to bits at the boundary.
+
+The steps are over-relaxed (Matz & Duhamel 2004; Yu 2010): from the
+kept law r with divergences D, the trial law is proportional to
+r·exp(λ·D), where plain Blahut-Arimoto is λ = 1. λ starts at 2 and grows
+×1.1 per accepted trial, up to 4. A trial whose mutual information falls
+below the kept lower estimate is rejected: λ is halved (never below 1)
+and the next trial is the plain step from the kept law, which cannot
+lower the mutual information; it is kept and leaves λ as it is. Every
+reported bracket therefore comes from one kept law. One iteration is one divergence evaluation, a
+rejected trial included, so max_iterations caps the matrix products.
 """
 
 import math
@@ -22,6 +32,11 @@ DEFAULT_MAX_ITERATIONS = 20000
 
 # probabilities below this are treated as zero inside logarithms
 _FLOOR = 1e-300
+# over-relaxation factor λ: first value, growth per accepted step, ceiling;
+# a rejected trial halves it, down to the plain step 1
+_STEP_START = 2.0
+_STEP_GROWTH = 1.1
+_STEP_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -50,33 +65,45 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
     Deterministic: identical inputs give a bit-identical result. Slow
     convergence never raises; the partial bracket comes back flagged with
     converged=False and callers decide how to propagate that.
-    on_iteration(iteration, lower_bits, upper_bits) is invoked once per
-    step when supplied, mainly so tests can watch monotonicity.
+    One iteration is one divergence evaluation of a trial law: the
+    over-relaxed step from the kept law, or after a rejected trial the
+    plain step (see the module docstring). The bracket and the returned
+    input_distribution always belong to the same kept law, whose lower
+    estimate never drops. on_iteration(iteration, lower_bits, upper_bits)
+    is invoked once per iteration with the kept bracket when supplied,
+    mainly so tests can watch monotonicity.
     """
     if tolerance <= 0.0:
         raise ParameterError("tolerance must be positive")
     if max_iterations < 1:
         raise ParameterError("max_iterations must be at least 1")
-    n = channel.input_count
     tol_nats = tolerance * LN2
-    log_r = np.zeros(n)
-    lower = upper = math.nan
-    r = None
+    trial = np.zeros(channel.input_count)  # log-weights, maximum 0
+    step = _STEP_START
+    plain = True  # take the trial as is: the uniform start, or a fallback
     for it in range(1, max_iterations + 1):
-        w = np.exp(log_r - log_r.max())
-        r = w / w.sum()
-        div = _divergences(channel, r)
-        lower = float(r @ div)
-        upper = float(div.max())
-        if upper < lower:  # max >= mean up to rounding noise; keep the order
-            upper = lower
+        w = np.exp(trial)
+        t = w / w.sum()
+        t_div = _divergences(channel, t)
+        t_lower = float(t @ t_div)
+        if plain or t_lower >= lower:
+            if not plain:
+                step = min(step * _STEP_GROWTH, _STEP_MAX)
+            log_r, r, div, lower = trial, t, t_div, t_lower
+            upper = float(div.max())
+            if upper < lower:  # max >= mean up to rounding noise; keep the order
+                upper = lower
+            plain = False
+        else:  # rejected: keep the law, retry with the plain step
+            step = max(step / 2.0, 1.0)
+            plain = True
         if on_iteration is not None:
             on_iteration(it, lower / LN2, upper / LN2)
         if upper - lower <= tol_nats:
             return BaaResult(lower / LN2, upper / LN2, r, it,
                              (upper - lower) / LN2, True)
-        log_r += div
-        log_r -= log_r.max()
+        trial = log_r + (1.0 if plain else step) * div
+        trial -= trial.max()
     return BaaResult(lower / LN2, upper / LN2, r, max_iterations,
                      (upper - lower) / LN2, False)
 

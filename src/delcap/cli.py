@@ -104,7 +104,10 @@ def build_parser():
                              " (bits)")
     common.add_argument("--max-iter", dest="max_iterations", type=int,
                         default=DEFAULT_MAX_ITERATIONS,
-                        help="iteration ceiling per capacity solve")
+                        help="iteration ceiling per capacity solve; one"
+                             " iteration is one divergence evaluation of a"
+                             " trial law, a rejected over-relaxed step"
+                             " included")
     common.add_argument("--entry-budget", dest="entry_budget", type=int,
                         default=DEFAULT_ENTRY_BUDGET,
                         help="refuse channel builds above this many matrix"

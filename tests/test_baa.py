@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import delcap.baa
 from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
                     build_fixed_deletion_channel, mutual_information,
                     solve_capacity)
@@ -32,6 +35,47 @@ def binary_erasure(e):
         output_lengths=np.array([1, 1, 0], dtype=np.int8),
         output_values=np.array([0, 1, 0]),
     )
+
+
+def plain_blahut_arimoto(channel, tolerance):
+    """The unaccelerated loop: (iterations, lower, upper) in bits."""
+    log_r = np.zeros(channel.input_count)
+    for it in range(1, 20001):
+        w = np.exp(log_r - log_r.max())
+        r = w / w.sum()
+        div = delcap.baa._divergences(channel, r)
+        lower = float(r @ div)
+        upper = max(float(div.max()), lower)
+        if upper - lower <= tolerance * math.log(2.0):
+            break
+        log_r += div
+        log_r -= log_r.max()
+    return it, lower / math.log(2.0), upper / math.log(2.0)
+
+
+@st.composite
+def small_channels(draw):
+    """Random DMC with 2-8 inputs and 2-8 outputs, every row non-empty."""
+    n_in = draw(st.integers(2, 8))
+    n_out = draw(st.integers(2, 8))
+    weight = st.floats(0.05, 1.0)
+    rows = draw(st.lists(
+        st.lists(st.one_of(st.just(0.0), weight), min_size=n_out,
+                 max_size=n_out).filter(any),
+        min_size=n_in, max_size=n_in))
+    indptr, indices, probs = [0], [], []
+    for row in rows:
+        total = sum(row)
+        for j, w in enumerate(row):
+            if w > 0.0:
+                indices.append(j)
+                probs.append(w / total)
+        indptr.append(len(indices))
+    return SparseChannel(
+        indptr=np.array(indptr), indices=np.array(indices),
+        probs=np.array(probs), input_length=3,
+        output_lengths=np.full(n_out, 3, dtype=np.int8),
+        output_values=np.arange(n_out))
 
 
 def mi_oracle(channel, dist):
@@ -150,6 +194,47 @@ class TestMutualInformation:
             mutual_information(channel, np.array([0.75, 0.5, -0.25, 0.0]))
         with pytest.raises(ParameterError):
             mutual_information(channel, np.array([0.3, 0.3, 0.3, 0.3]))
+
+
+class TestOverRelaxedSteps:
+    @settings(deadline=None)
+    @given(small_channels())
+    def test_certificate_comes_from_one_law(self, channel):
+        lowers = []
+        result = solve_capacity(channel, tolerance=1e-3,
+                                on_iteration=lambda it, lo, hi: lowers.append(lo))
+        _, plain_lower, plain_upper = plain_blahut_arimoto(channel, 1e-3)
+        # both brackets hold the capacity, up to binary64 rounding
+        assert result.capacity_lower <= plain_upper + 1e-12
+        assert plain_lower <= result.capacity_upper + 1e-12
+        law = result.input_distribution
+        assert mutual_information(channel, law) == result.capacity_lower
+        top = float(delcap.baa._divergences(channel, law).max()) / math.log(2.0)
+        assert result.capacity_upper == max(top, result.capacity_lower)
+        assert all(b >= a for a, b in zip(lowers, lowers[1:]))
+
+    def test_acceleration_is_on_and_fallback_is_safe(self, monkeypatch):
+        channel = build_binomial_deletion_channel(8, 0.5)
+        plain_iterations, _, _ = plain_blahut_arimoto(channel, 5e-3)
+        divergences = delcap.baa._divergences
+        trials = []  # I of every trial law, in bits, as the solver computes it
+
+        def spy(ch, dist):
+            div = divergences(ch, dist)
+            trials.append(float(dist @ div) / math.log(2.0))
+            return div
+
+        monkeypatch.setattr(delcap.baa, "_divergences", spy)
+        lowers = []
+        result = solve_capacity(channel,
+                                on_iteration=lambda it, lo, hi: lowers.append(lo))
+        assert result.converged
+        assert result.iterations <= 0.6 * plain_iterations
+        assert len(trials) == len(lowers) == result.iterations
+        rejected = [i for i in range(1, len(trials)) if trials[i] < lowers[i - 1]]
+        assert rejected
+        assert all(lowers[i] == lowers[i - 1] for i in rejected)
+        assert all(b >= a for a, b in zip(lowers, lowers[1:]))
 
 
 class TestValidation:

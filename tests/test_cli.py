@@ -9,6 +9,8 @@ from delcap import (CoefficientTable, TableEntry, bound_c2_star, bound_c3,
                     load_table, populate_table, resolve_l_max, save_table)
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, main
 
+from reference_values import F_REFERENCE, bracket_matches_reference
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -31,7 +33,13 @@ class TestTableCommand:
         assert out == cache.read_text()
         lines = out.splitlines()
         assert lines[0] == "delcap-ftable v1"
-        assert "3,2,1.4689225691649872,1.472514062845397,0.005,baa" in lines
+        pinned = "3,2,1.4692900501515895,1.4700006909360508,0.005,baa"
+        assert pinned in lines
+        # the plain Blahut-Arimoto solver wrote [1.4689225691649872,
+        # 1.472514062845397] here; the over-relaxed bracket must meet it
+        lo, hi = map(float, pinned.split(",")[2:4])
+        assert lo <= 1.472514062845397 and hi >= 1.4689225691649872
+        assert bracket_matches_reference(lo, hi, F_REFERENCE[(3, 2)])
         assert lines[-1].startswith("checksum,")
         assert load_table(cache).l_max == 5
 
