@@ -9,15 +9,14 @@ length, which makes the output alphabet every bit string of length 0..L,
 empty string included.
 
 Transition rows are stored CSR-style over integer ids; labels stay
-implicit until asked for. Counts are assembled either by a dense dynamic
-program over (prefix of input, prefix of output) or, when the deletion
-pattern count is small, by enumerating the patterns directly; both give
-identical integers. The binomial family reuses them: its count skeleton
-is the fixed-deletion blocks (L, 0), ..., (L, L) stacked side by side,
-and d only weights block r by d^(L-r) (1-d)^r.
+implicit until asked for. Counts come from one recursion over the leading
+input bit, which builds the sparse count block (l, r) from the blocks
+(l-1, r-1) and (l-1, r) without ever forming a dense matrix. The binomial
+family reuses it: its count skeleton is the fixed-deletion blocks
+(L, 0), ..., (L, L) of one full walk stacked side by side, and d only
+weights block r by d^(L-r) (1-d)^r.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,11 +30,6 @@ from .errors import ParameterError, ResourceLimitError
 
 DEFAULT_L_CAP = 22
 DEFAULT_ENTRY_BUDGET = 1 << 28
-
-# largest dense (2^L x 2^R) count matrix the dense builder may allocate
-_DENSE_LIMIT = 1 << 25
-# pattern-enumeration flush threshold, in buffered (input, output) keys
-_CHUNK_KEYS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,100 +114,46 @@ class SparseChannel:
             assert np.all(totals == self.exact_denominator), "rational rows off"
 
 
-def _dense_counts(L, R):
-    """Dense (2^L, 2^R) embedding-count matrix via the prefix recursion.
+def _stack_twice(block, shift, width):
+    """[block; block with every column + shift] as a CSR of the given width."""
+    return sparse.csr_array(
+        (np.concatenate([block.data, block.data]),
+         np.concatenate([block.indices, block.indices + shift]),
+         np.concatenate([block.indptr, block.indptr[1:] + block.nnz])),
+        shape=(2 * block.shape[0], width))
+
+
+def _count_blocks(L, r_lo, r_hi):
+    """Embedding-count blocks {r: (L, r)}, r_lo <= r <= r_hi ascending, as
+    canonical CSR.
 
     Splitting off the leading bit of the input either consumes the leading
     output bit (when they match) or is deleted, which gives
-    count(a.A, b.B) = [a == b] count(A, B') + count(A, b.B). Only the r
-    band reachable from (L, R) is kept per level.
+    count(a.A, b.B) = [a == b] count(A, B) + count(A, b.B). So block (l, r)
+    is [P; P with columns + 2^(r-1)] + [S; S], with P = block (l-1, r-1)
+    and S = block (l-1, r); each half is concatenated from its CSR arrays
+    and the sparse sum stays canonical. Level l keeps only the r band that
+    can still reach [r_lo, r_hi].
     """
-    cur = {0: np.ones((1, 1), dtype=np.int32)}
+    # int32 holds every count C(l, r) <= C(33, 16), far past any buildable l
+    blocks = {0: sparse.csr_array(np.ones((1, 1), dtype=np.int32))}
     for l in range(1, L + 1):
-        lo = max(0, R - (L - l))
-        hi = min(l, R)
         nxt = {}
-        for r in range(lo, hi + 1):
-            m = np.zeros((1 << l, 1 << max(r, 0)), dtype=np.int32)
-            if r == 0:
-                m[:, 0] = 1
-            else:
-                m4 = m.reshape(2, 1 << (l - 1), 2, 1 << (r - 1))
-                p_match = cur.get(r - 1)
-                if p_match is not None:
-                    m4[0, :, 0, :] += p_match
-                    m4[1, :, 1, :] += p_match
-                p_skip = cur.get(r)
-                if p_skip is not None:
-                    p3 = p_skip.reshape(1 << (l - 1), 2, 1 << (r - 1))
-                    m4[0] += p3
-                    m4[1] += p3
-            nxt[r] = m
-        cur = nxt
-    return cur[R]
+        for r in range(max(0, r_lo - (L - l)), min(l, r_hi) + 1):
+            halves = []
+            if r > 0:
+                halves.append(_stack_twice(blocks[r - 1], 1 << (r - 1), 1 << r))
+            if r < l:
+                halves.append(_stack_twice(blocks[r], 0, 1 << r))
+            nxt[r] = sum(halves[1:], halves[0])
+        blocks = nxt
+    return blocks
 
 
-def _merge_key_counts(acc_keys, acc_counts, chunks):
-    if not chunks:
-        return acc_keys, acc_counts
-    keys, counts = np.unique(np.concatenate(chunks), return_counts=True)
-    counts = counts.astype(np.int64)
-    if acc_keys is None:
-        return keys, counts
-    cat = np.concatenate([acc_keys, keys])
-    ccat = np.concatenate([acc_counts, counts])
-    merged, inv = np.unique(cat, return_inverse=True)
-    total = np.zeros(len(merged), dtype=np.int64)
-    np.add.at(total, inv, ccat)
-    return merged, total
-
-
-def _pattern_counts(L, R):
-    """Embedding counts by enumerating the kept-position patterns.
-
-    Preferred when C(L, L-R) is small (near-diagonal cells): each pattern
-    is one vectorized bit gather over all 2^L inputs, and multiplicities
-    accumulate through chunked sorted merges to bound working memory.
-    """
-    n_in = 1 << L
-    a = np.arange(n_in, dtype=np.int64)
-    acc_keys = acc_counts = None
-    pending, pending_size = [], 0
-    for keep in itertools.combinations(range(L), R):
-        b = np.zeros(n_in, dtype=np.int64)
-        for j, pos in enumerate(keep):
-            b |= ((a >> (L - 1 - pos)) & 1) << (R - 1 - j)
-        pending.append((a << R) | b)
-        pending_size += n_in
-        if pending_size >= _CHUNK_KEYS:
-            acc_keys, acc_counts = _merge_key_counts(acc_keys, acc_counts, pending)
-            pending, pending_size = [], 0
-    acc_keys, acc_counts = _merge_key_counts(acc_keys, acc_counts, pending)
-    rows = acc_keys >> R
-    cols = acc_keys & ((1 << R) - 1)
-    indptr = np.zeros(n_in + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_in), out=indptr[1:])
-    return indptr, cols, acc_counts
-
-
-def _subsequence_counts(L, R, method="auto"):
-    """CSR multiplicities of every length-R subsequence of every input."""
-    if method == "auto":
-        dense_ok = (1 << (L + R)) <= _DENSE_LIMIT
-        if dense_ok and (L << (L + R)) <= 4 * (math.comb(L, R) << L):
-            method = "dense"
-        else:
-            method = "patterns"
-    if method == "dense":
-        m = _dense_counts(L, R)
-        rows, cols = np.nonzero(m)
-        counts = m[rows, cols].astype(np.int64)
-        indptr = np.zeros((1 << L) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=1 << L), out=indptr[1:])
-        return indptr, cols.astype(np.int64), counts
-    if method == "patterns":
-        return _pattern_counts(L, R)
-    raise ParameterError(f"unknown construction method {method!r}")
+def _int64_csr(m):
+    """(indptr, indices, data) of a CSR matrix, all int64."""
+    return (m.indptr.astype(np.int64), m.indices.astype(np.int64),
+            m.data.astype(np.int64))
 
 
 def _check_block_params(L, R, l_cap):
@@ -237,7 +177,7 @@ def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
         raise ResourceLimitError(
             f"fixed channel ({L},{R}) may need {worst} entries,"
             f" budget {entry_budget}")
-    indptr, cols, counts = _subsequence_counts(L, R)
+    indptr, cols, counts = _int64_csr(_count_blocks(L, R, R)[R])
     return SparseChannel(
         indptr=indptr,
         indices=cols,
@@ -260,13 +200,10 @@ def _binomial_structure(L):
     """d-independent skeleton of the binomial family: the fixed-deletion
     count blocks (L, r), r = 0..L, stacked side by side. Length-r outputs
     take ids from 2^r - 1 on, so the stack keeps every row sorted."""
-    # (indptr, cols, counts) reversed is scipy's (data, indices, indptr)
-    blocks = [sparse.csr_array(_subsequence_counts(L, r)[::-1],
-                               shape=(1 << L, 1 << r)) for r in range(L + 1)]
-    stacked = sparse.hstack(blocks, format="csr")
+    stacked = sparse.hstack(list(_count_blocks(L, 0, L).values()),
+                            format="csr")
     sizes = [1 << r for r in range(L + 1)]
-    return (stacked.indptr.astype(np.int64), stacked.indices.astype(np.int64),
-            stacked.data,
+    return (*_int64_csr(stacked),
             np.repeat(np.arange(L + 1, dtype=np.int8), sizes),
             np.concatenate([np.arange(size) for size in sizes]))
 

@@ -115,7 +115,10 @@ def build_parser():
     common.add_argument("--l-max", dest="l_max", type=int,
                         help="largest block length served from the table")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for table builds and sweeps")
+                        help="worker threads for table, verify and a"
+                             " single-family sweep; bound, limits and the"
+                             " multi-spec sweeps (best, the c1_star D-scan)"
+                             " run serially and ignore it")
     common.add_argument("--allow-long", dest="allow_long",
                         action="store_true",
                         help=f"permit depths past {LONG_RUN_LIMIT} (hours"

@@ -8,7 +8,7 @@ from delcap import (BitString, ParameterError, ResourceLimitError,
                     binomial_weight, build_binomial_deletion_channel,
                     build_fixed_deletion_channel, dump_channel,
                     embedding_count)
-from delcap.channel import _subsequence_counts
+from delcap.channel import _binomial_structure
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -17,6 +17,19 @@ def exact_row_by_bits(channel, input_bits):
     i = int(input_bits, 2) if input_bits else 0
     return {channel.output_label(j).bits(): fr
             for j, fr in channel.row_exact(i)}
+
+
+def assert_counts_match(indptr, indices, counts, reference):
+    """The stored (row, id) pairs are exactly the nonzero reference counts,
+    each row's ids strictly increasing (sorted, no duplicates)."""
+    assert indptr.dtype == indices.dtype == counts.dtype == np.int64
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        assert np.all(np.diff(indices[lo:hi]) > 0)
+    assert np.all(counts > 0)
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    stored = np.zeros_like(reference)
+    stored[rows, indices] = counts
+    assert np.array_equal(stored, reference)
 
 
 class TestFixedChannel:
@@ -43,12 +56,16 @@ class TestFixedChannel:
                 else:
                     assert j not in row
 
-    def test_dense_and_pattern_builders_agree(self):
-        for L, R in ((4, 2), (6, 3), (7, 1), (5, 5), (6, 0)):
-            dense = _subsequence_counts(L, R, method="dense")
-            patterns = _subsequence_counts(L, R, method="patterns")
-            for a, b in zip(dense, patterns):
-                assert np.array_equal(a, b)
+    def test_counts_match_reference(self):
+        for L in range(8):
+            for R in range(L + 1):
+                channel = build_fixed_deletion_channel(L, R)
+                reference = np.array(
+                    [[embedding_count(BitString(x, L), BitString(y, R))
+                      for y in range(1 << R)] for x in range(1 << L)],
+                    dtype=np.int64)
+                assert_counts_match(channel.indptr, channel.indices,
+                                    channel.exact_numerators, reference)
 
     def test_every_survivor_length_matches_r(self):
         L = 6
@@ -120,6 +137,32 @@ class TestBinomialChannel:
         for R in range(L + 1):
             assert marginal[R] == pytest.approx(
                 binomial_weight(L, R, d).value, abs=1e-12)
+
+    def test_skeleton_matches_reference_counts(self):
+        for L in range(7):
+            indptr, cols, counts, lengths, values = _binomial_structure(L)
+            outputs = [BitString(int(v), int(n))
+                       for n, v in zip(lengths, values)]
+            reference = np.array(
+                [[embedding_count(BitString(x, L), b) for b in outputs]
+                 for x in range(1 << L)], dtype=np.int64)
+            assert_counts_match(indptr, cols, counts, reference)
+
+    def test_table_cell_is_skeleton_block(self):
+        # fixed cell (L, R) is block R of the skeleton, ids shifted by 2^R - 1
+        for L in range(1, 10):
+            indptr, cols, counts, lengths, _ = _binomial_structure(L)
+            rows = np.repeat(np.arange(1 << L), np.diff(indptr))
+            for R in range(L + 1):
+                channel = build_fixed_deletion_channel(L, R)
+                in_block = lengths[cols] == R
+                assert np.array_equal(channel.indices,
+                                      cols[in_block] - ((1 << R) - 1))
+                assert np.array_equal(channel.exact_numerators,
+                                      counts[in_block])
+                assert np.array_equal(
+                    np.repeat(np.arange(1 << L), np.diff(channel.indptr)),
+                    rows[in_block])
 
     def test_skeleton_reused_across_d(self):
         a = build_binomial_deletion_channel(3, 0.2)
