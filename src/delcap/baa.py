@@ -8,6 +8,14 @@ estimate, so the returned bracket contains the true capacity no matter
 where the iteration stops. All internal work is in nats; results are
 converted to bits at the boundary.
 
+The start law gives each input its channel's input_sizes as weight: one
+per input of a SparseChannel, the uniform law, and the orbit size per
+row of an OrbitChannel, the uniform law on the full inputs summed over
+each orbit. Each step multiplies a row's mass by a function of its
+divergence, which is the same for every member of an orbit, so the
+reduced iterates are the full ones summed over orbits and the bracket
+certifies the full channel's capacity.
+
 The steps are over-relaxed (Matz & Duhamel 2004; Yu 2010): from the
 kept law r with divergences D, the trial law is proportional to
 r·exp(λ·D), where plain Blahut-Arimoto is λ = 1. λ starts at 2 and grows
@@ -72,15 +80,19 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
     estimate never drops. on_iteration(iteration, lower_bits, upper_bits)
     is invoked once per iteration with the kept bracket when supplied,
     mainly so tests can watch monotonicity.
+    The iteration starts from the law proportional to
+    channel.input_sizes, uniform on a SparseChannel; on an OrbitChannel,
+    input_distribution holds the mass of each input orbit, not of its
+    representative.
     """
     if tolerance <= 0.0:
         raise ParameterError("tolerance must be positive")
     if max_iterations < 1:
         raise ParameterError("max_iterations must be at least 1")
     tol_nats = tolerance * LN2
-    trial = np.zeros(channel.input_count)  # log-weights, maximum 0
+    trial = np.log(channel.input_sizes)  # log-weights of the start law
     step = _STEP_START
-    plain = True  # take the trial as is: the uniform start, or a fallback
+    plain = True  # take the trial as is: the start law, or a fallback
     for it in range(1, max_iterations + 1):
         w = np.exp(trial)
         t = w / w.sum()

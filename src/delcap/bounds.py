@@ -11,12 +11,10 @@ per-letter solve for c4 uses its certified-upper estimate.
 
 import math
 
-import numpy as np
-
 from .baa import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
                   mutual_information, solve_capacity)
 from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP,
-                      build_binomial_deletion_channel)
+                      build_binomial_deletion_channel, orbit_channel)
 from .combinatorics import binomial_weight, binomial_weight_tilde
 from .errors import ParameterError, SolverNotConvergedError
 from .lemmas import _collect_report
@@ -193,11 +191,17 @@ def bound_c3(L, d, table):
     return 1.0 - d - gap / L
 
 
+def _binomial_orbits(L, d, **limits):
+    """The binomial channel at (L, d), folded onto its input and output
+    orbits under complement and reversal."""
+    return orbit_channel(build_binomial_deletion_channel(L, d, **limits))
+
+
 def _solve_binomial(what, L, d, solver_tolerance, max_iterations, **limits):
-    """Solve the binomial channel at (L, d); `what` names the bound in
-    the error raised when the bracket does not close."""
-    channel = build_binomial_deletion_channel(L, d, **limits)
-    result = solve_capacity(channel, solver_tolerance, max_iterations)
+    """Solve the binomial channel at (L, d) on its orbits; `what` names
+    the bound in the error raised when the bracket does not close."""
+    result = solve_capacity(_binomial_orbits(L, d, **limits),
+                            solver_tolerance, max_iterations)
     if not result.converged:
         raise SolverNotConvergedError(
             f"{what} solve at L={L}, d={d} stuck at bracket width "
@@ -229,7 +233,9 @@ def lower_bound(L, d, distribution_policy="optimized",
 
     policy 'optimized' takes the solver's certified-lower estimate;
     'iud' takes the mutual information of the uniform input, which is
-    achievable outright and needs no iteration.
+    achievable outright and needs no iteration. Both work on the
+    channel folded onto orbits, where the uniform input puts mass
+    |o| / 2^L on input orbit o.
     """
     if distribution_policy not in ("optimized", "iud"):
         raise ParameterError(
@@ -240,10 +246,9 @@ def lower_bound(L, d, distribution_policy="optimized",
                                max_iterations, l_cap=l_cap,
                                entry_budget=entry_budget).capacity_lower
     else:
-        channel = build_binomial_deletion_channel(L, d, l_cap=l_cap,
-                                                  entry_budget=entry_budget)
-        uniform = np.full(channel.input_count, 1.0 / channel.input_count)
-        info = mutual_information(channel, uniform)
+        channel = _binomial_orbits(L, d, l_cap=l_cap,
+                                   entry_budget=entry_budget)
+        info = mutual_information(channel, channel.input_sizes / 2 ** L)
     overhead = 0.0
     for R in range(L + 1):
         w = binomial_weight(L, R, d).value

@@ -15,6 +15,17 @@ input bit, which builds the sparse count block (l, r) from the blocks
 family reuses it: its count skeleton is the fixed-deletion blocks
 (L, 0), ..., (L, L) of one full walk stacked side by side, and d only
 weights block r by d^(L-r) (1-d)^r.
+
+Deleting bits commutes with complementing them and with reversing their
+order, so both families map the orbit of an input under that 4-element
+group onto the orbits of its outputs. orbit_channel folds a channel onto
+those orbits: one row per input orbit, taken from its smallest member
+x_o, with M[o, O] = sum of P(y|x_o) over the output orbit O. A law that
+is constant on input orbits induces an output law constant on output
+orbits, and every divergence D(P_x || q) of the full channel is the
+reduced row term of x's orbit minus sum_O M[o, O] log q_O, where q_O is
+the orbit's total mass. The solver runs on this smaller matrix and
+certifies the same capacity.
 """
 
 import math
@@ -56,6 +67,11 @@ class SparseChannel:
     @property
     def entry_count(self):
         return len(self.indices)
+
+    @property
+    def input_sizes(self):
+        # every input stands for itself; OrbitChannel rows stand for orbits
+        return np.ones(self.input_count)
 
     def input_label(self, i):
         return BitString(int(i), self.input_length)
@@ -150,12 +166,6 @@ def _count_blocks(L, r_lo, r_hi):
     return blocks
 
 
-def _int64_csr(m):
-    """(indptr, indices, data) of a CSR matrix, all int64."""
-    return (m.indptr.astype(np.int64), m.indices.astype(np.int64),
-            m.data.astype(np.int64))
-
-
 def _check_block_params(L, R, l_cap):
     if L < 0 or R < 0 or R > L:
         raise ParameterError(f"need 0 <= R <= L, got L={L}, R={R}")
@@ -177,7 +187,9 @@ def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
         raise ResourceLimitError(
             f"fixed channel ({L},{R}) may need {worst} entries,"
             f" budget {entry_budget}")
-    indptr, cols, counts = _int64_csr(_count_blocks(L, R, R)[R])
+    block = _count_blocks(L, R, R)[R]
+    indptr, cols, counts = (a.astype(np.int64)
+                            for a in (block.indptr, block.indices, block.data))
     return SparseChannel(
         indptr=indptr,
         indices=cols,
@@ -199,11 +211,13 @@ def _binomial_entry_estimate(L):
 def _binomial_structure(L):
     """d-independent skeleton of the binomial family: the fixed-deletion
     count blocks (L, r), r = 0..L, stacked side by side. Length-r outputs
-    take ids from 2^r - 1 on, so the stack keeps every row sorted."""
+    take ids from 2^r - 1 on, so the stack keeps every row sorted. Row
+    bounds, ids and counts stay int32: below the L cap every id is under
+    2^23 and every count at most C(22, 11)."""
     stacked = sparse.hstack(list(_count_blocks(L, 0, L).values()),
                             format="csr")
     sizes = [1 << r for r in range(L + 1)]
-    return (*_int64_csr(stacked),
+    return (stacked.indptr, stacked.indices, stacked.data,
             np.repeat(np.arange(L + 1, dtype=np.int8), sizes),
             np.concatenate([np.arange(size) for size in sizes]))
 
@@ -240,6 +254,110 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
         output_lengths=lengths,
         output_values=values,
     )
+
+
+@cache
+def _label_orbits(n):
+    """Orbits of the length-n labels under complement and reversal:
+    (orbit index of every value, orbits numbered by their smallest
+    member; those smallest members, ascending; orbit sizes)."""
+    values = np.arange(1 << n, dtype=np.int64)
+    mask = (1 << n) - 1
+    reverse = np.zeros_like(values)
+    for k in range(n):
+        reverse |= ((values >> k) & 1) << (n - 1 - k)
+    smallest = np.minimum(np.minimum(values, values ^ mask),
+                          np.minimum(reverse, reverse ^ mask))
+    representatives = values[smallest == values]
+    index = np.searchsorted(representatives, smallest)
+    return index, representatives, np.bincount(index)
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitChannel:
+    """A deletion channel folded onto complement × reversal orbits.
+
+    Row o stands for the input orbit of representatives[o], column O for
+    an output orbit; input_sizes and output_sizes count their members.
+    _row_plogp[o] is sum_y P log P over the full row of the
+    representative plus sum_O M[o, O] log |O|, so the solver's
+    divergences are those of the full channel at each representative,
+    for any law that is constant on orbits.
+    """
+
+    _matrix: sparse.csr_array    # M[o, O] = P(O | representatives[o])
+    _row_plogp: np.ndarray       # (input orbits,) row term, in nats
+    representatives: np.ndarray  # (input orbits,) smallest member of each
+    input_sizes: np.ndarray      # (input orbits,) members per input orbit
+    output_sizes: np.ndarray     # (output orbits,) members per output orbit
+
+    @property
+    def input_count(self):
+        return self._matrix.shape[0]
+
+    @property
+    def entry_count(self):
+        return self._matrix.nnz
+
+    @cached_property
+    def _matrix_t(self):
+        return self._matrix.T.tocsr()
+
+
+def _orbit_layout(L, indptr, indices, output_lengths, output_values):
+    """Where the reduced channel's entries come from, for one sparsity
+    pattern: (picked, starts, target, indptr, indices, representatives,
+    input_sizes, output_sizes). The reduced matrix sums entry picked[k]
+    of the full channel into its entry target[k]; starts[o] is the first
+    k of row o."""
+    _, representatives, input_sizes = _label_orbits(L)
+    out_orbit = np.empty(len(output_lengths), dtype=np.int64)
+    output_sizes = np.zeros(0, dtype=np.int64)
+    for r in np.unique(output_lengths):  # shorter labels' orbits first
+        index, _, sizes = _label_orbits(int(r))
+        at = output_lengths == r
+        out_orbit[at] = len(output_sizes) + index[output_values[at]]
+        output_sizes = np.concatenate([output_sizes, sizes])
+    lo = indptr[representatives]
+    widths = indptr[representatives + 1] - lo
+    starts = np.cumsum(widths) - widths
+    picked = np.repeat(lo - starts, widths) + np.arange(widths.sum())
+    cells, target = np.unique(
+        np.repeat(np.arange(len(representatives)), widths) * len(output_sizes)
+        + out_orbit[indices[picked]], return_inverse=True)
+    rows, cols = np.divmod(cells, len(output_sizes))
+    return (picked, starts, target,
+            np.searchsorted(rows, np.arange(len(representatives) + 1)), cols,
+            representatives, input_sizes.astype(np.float64), output_sizes)
+
+
+@cache
+def _binomial_orbit_layout(L):
+    """The orbit layout of the binomial skeleton, shared by every d."""
+    indptr, cols, _, lengths, values = _binomial_structure(L)
+    return _orbit_layout(L, indptr, cols, lengths, values)
+
+
+def orbit_channel(channel):
+    """Fold a fixed-deletion or binomial SparseChannel onto its orbits
+    under complement and reversal (see the module docstring)."""
+    L = channel.input_length
+    # a binomial channel on the cached skeleton: one layout serves every d
+    if (channel.exact_numerators is None
+            and channel.indices is _binomial_structure(L)[1]):
+        layout = _binomial_orbit_layout(L)
+    else:
+        layout = _orbit_layout(L, channel.indptr, channel.indices,
+                               channel.output_lengths, channel.output_values)
+    (picked, starts, target, indptr, indices, representatives, input_sizes,
+     output_sizes) = layout
+    probs = channel.probs[picked]
+    matrix = sparse.csr_array(
+        (np.bincount(target, probs, len(indices)), indices, indptr),
+        shape=(len(representatives), len(output_sizes)))
+    plogp = np.add.reduceat(probs * np.log(probs), starts)
+    return OrbitChannel(matrix, plogp + matrix @ np.log(output_sizes),
+                        representatives, input_sizes, output_sizes)
 
 
 def dump_channel(channel, path):

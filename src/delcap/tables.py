@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, solve_capacity
 from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP,
-                      build_fixed_deletion_channel)
+                      build_fixed_deletion_channel, orbit_channel)
 from .errors import (ExtrapolationRequiredError, ParameterError,
                      SolverNotConvergedError, TableChecksumError,
                      TableRowError, TableVersionError)
@@ -102,8 +102,8 @@ def _check_side(side):
 
 
 def _compute_entry(table, L, R):
-    channel = build_fixed_deletion_channel(
-        L, R, l_cap=table.l_cap, entry_budget=table.entry_budget)
+    channel = orbit_channel(build_fixed_deletion_channel(
+        L, R, l_cap=table.l_cap, entry_budget=table.entry_budget))
     result = solve_capacity(channel, table.tolerance, table.max_iterations)
     if not result.converged:
         raise SolverNotConvergedError(

@@ -9,7 +9,7 @@ import delcap.baa
 from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
                     build_fixed_deletion_channel, mutual_information,
                     solve_capacity)
-from delcap.channel import SparseChannel
+from delcap.channel import SparseChannel, orbit_channel
 
 from reference_values import F_REFERENCE, bracket_matches_reference
 
@@ -235,6 +235,31 @@ class TestOverRelaxedSteps:
         assert rejected
         assert all(lowers[i] == lowers[i - 1] for i in rejected)
         assert all(b >= a for a, b in zip(lowers, lowers[1:]))
+
+
+def assert_orbit_solve_agrees(channel):
+    """Solved on its complement x reversal orbits, the channel gets a
+    bracket that meets the full solve's, from one kept law on orbits."""
+    full = solve_capacity(channel)
+    reduced_channel = orbit_channel(channel)
+    reduced = solve_capacity(reduced_channel)
+    assert full.converged and reduced.converged
+    assert reduced.capacity_lower <= full.capacity_upper + 1e-12
+    assert full.capacity_lower <= reduced.capacity_upper + 1e-12
+    law = reduced.input_distribution
+    assert mutual_information(reduced_channel, law) == reduced.capacity_lower
+
+
+class TestOrbitSolve:
+    @settings(deadline=None)
+    @given(st.integers(1, 10), st.floats(0.001, 0.999))
+    def test_binomial_brackets_overlap(self, L, d):
+        assert_orbit_solve_agrees(build_binomial_deletion_channel(L, d))
+
+    def test_fixed_brackets_overlap(self):
+        for L in range(11):
+            for R in range(L + 1):
+                assert_orbit_solve_agrees(build_fixed_deletion_channel(L, R))
 
 
 class TestValidation:

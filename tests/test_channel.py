@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from delcap import (BitString, ParameterError, ResourceLimitError,
                     binomial_weight, build_binomial_deletion_channel,
                     build_fixed_deletion_channel, dump_channel,
                     embedding_count)
-from delcap.channel import _binomial_structure
+from delcap.baa import _divergences
+from delcap.channel import _binomial_structure, _label_orbits, orbit_channel
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -19,10 +21,25 @@ def exact_row_by_bits(channel, input_bits):
             for j, fr in channel.row_exact(i)}
 
 
-def assert_counts_match(indptr, indices, counts, reference):
+def reverse(label):
+    return BitString.from_bits(label.bits()[::-1])
+
+
+def assert_commutes(channel, transform):
+    """Row transform(x) is row x with every output label transformed."""
+    for i in range(channel.input_count):
+        image = transform(channel.input_label(i)).value
+        moved = {transform(channel.output_label(j)): p
+                 for j, p in channel.row(i)}
+        assert moved == {channel.output_label(j): p
+                         for j, p in channel.row(image)}
+
+
+def assert_counts_match(indptr, indices, counts, reference, dtype):
     """The stored (row, id) pairs are exactly the nonzero reference counts,
-    each row's ids strictly increasing (sorted, no duplicates)."""
-    assert indptr.dtype == indices.dtype == counts.dtype == np.int64
+    each row's ids strictly increasing (sorted, no duplicates), and every
+    array of the given dtype."""
+    assert indptr.dtype == indices.dtype == counts.dtype == dtype
     for lo, hi in zip(indptr[:-1], indptr[1:]):
         assert np.all(np.diff(indices[lo:hi]) > 0)
     assert np.all(counts > 0)
@@ -65,7 +82,8 @@ class TestFixedChannel:
                       for y in range(1 << R)] for x in range(1 << L)],
                     dtype=np.int64)
                 assert_counts_match(channel.indptr, channel.indices,
-                                    channel.exact_numerators, reference)
+                                    channel.exact_numerators, reference,
+                                    np.int64)
 
     def test_every_survivor_length_matches_r(self):
         L = 6
@@ -84,6 +102,10 @@ class TestFixedChannel:
             comp_row = {channel.output_label(j).complement().bits(): fr
                         for j, fr in channel.row_exact(comp.value)}
             assert row == comp_row
+
+    def test_reversal_commutes(self):
+        for L, R in ((5, 2), (6, 4)):
+            assert_commutes(build_fixed_deletion_channel(L, R), reverse)
 
     def test_validate_passes_across_sizes(self):
         for L, R in ((1, 0), (1, 1), (3, 2), (8, 4), (9, 8)):
@@ -146,7 +168,7 @@ class TestBinomialChannel:
             reference = np.array(
                 [[embedding_count(BitString(x, L), b) for b in outputs]
                  for x in range(1 << L)], dtype=np.int64)
-            assert_counts_match(indptr, cols, counts, reference)
+            assert_counts_match(indptr, cols, counts, reference, np.int32)
 
     def test_table_cell_is_skeleton_block(self):
         # fixed cell (L, R) is block R of the skeleton, ids shifted by 2^R - 1
@@ -163,6 +185,13 @@ class TestBinomialChannel:
                 assert np.array_equal(
                     np.repeat(np.arange(1 << L), np.diff(channel.indptr)),
                     rows[in_block])
+
+    def test_complement_commutes(self):
+        assert_commutes(build_binomial_deletion_channel(5, 0.3),
+                        BitString.complement)
+
+    def test_reversal_commutes(self):
+        assert_commutes(build_binomial_deletion_channel(5, 0.3), reverse)
 
     def test_skeleton_reused_across_d(self):
         a = build_binomial_deletion_channel(3, 0.2)
@@ -182,6 +211,74 @@ class TestBinomialChannel:
             build_binomial_deletion_channel(23, 0.5)
         with pytest.raises(ResourceLimitError):
             build_binomial_deletion_channel(10, 0.5, entry_budget=100)
+
+
+def deletion_channels(l_max):
+    """Every fixed-deletion cell and the binomial channel at a few d,
+    for block lengths up to l_max."""
+    for L in range(l_max + 1):
+        for R in range(L + 1):
+            yield build_fixed_deletion_channel(L, R)
+        if L >= 1:
+            for d in (0.1, 0.5, 0.9):
+                yield build_binomial_deletion_channel(L, d)
+
+
+class TestOrbitChannel:
+    def test_label_orbits_match_definition(self):
+        for n in range(9):
+            index, representatives, sizes = _label_orbits(n)
+            orbits = {}
+            for x in range(1 << n):
+                label = BitString(x, n)
+                members = {label, label.complement(), reverse(label),
+                           reverse(label).complement()}
+                orbits[min(m.value for m in members)] = len(members)
+            assert representatives.tolist() == sorted(orbits)
+            assert sizes.tolist() == [orbits[x] for x in sorted(orbits)]
+            for x in range(1 << n):
+                label = BitString(x, n)
+                for image in (label.complement(), reverse(label)):
+                    assert index[image.value] == index[x]
+            assert np.array_equal(index[representatives],
+                                  np.arange(len(representatives)))
+
+    def test_orbit_sizes_and_rows(self):
+        for channel in deletion_channels(8):
+            reduced = orbit_channel(channel)
+            L = channel.input_length
+            assert reduced.input_sizes.sum() == 1 << L
+            assert reduced.output_sizes.sum() == channel.output_count
+            assert reduced.input_count == len(reduced.representatives)
+            assert reduced._matrix.has_canonical_format
+            assert np.all(reduced._matrix.data > 0.0)
+            assert np.allclose(reduced._matrix.sum(axis=1), 1.0,
+                               rtol=0.0, atol=1e-12)
+
+    def test_divergences_match_full_channel(self):
+        rng = np.random.default_rng(7)
+        for channel in deletion_channels(8):
+            reduced = orbit_channel(channel)
+            index, _, _ = _label_orbits(channel.input_length)
+            weight = rng.uniform(0.1, 1.0, reduced.input_count)
+            law = weight[index] / weight[index].sum()
+            reduced_law = reduced.input_sizes * weight / weight[index].sum()
+            full = _divergences(channel, law)[reduced.representatives]
+            assert np.allclose(_divergences(reduced, reduced_law), full,
+                               rtol=0.0, atol=1e-12)
+
+
+    def test_cached_binomial_layout_matches_fresh_one(self):
+        # a binomial channel on the cached skeleton reuses one layout for
+        # every d; the same channel on copied arrays gets a fresh one
+        channel = build_binomial_deletion_channel(6, 0.3)
+        copied = dataclasses.replace(channel, indptr=channel.indptr.copy(),
+                                     indices=channel.indices.copy())
+        cached, fresh = orbit_channel(channel), orbit_channel(copied)
+        assert np.array_equal(cached._matrix.indptr, fresh._matrix.indptr)
+        assert np.array_equal(cached._matrix.indices, fresh._matrix.indices)
+        assert np.array_equal(cached._matrix.data, fresh._matrix.data)
+        assert np.array_equal(cached._row_plogp, fresh._row_plogp)
 
 
 class TestDump:
