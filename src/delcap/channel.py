@@ -26,6 +26,12 @@ orbits, and every divergence D(P_x || q) of the full channel is the
 reduced row term of x's orbit minus sum_O M[o, O] log q_O, where q_O is
 the orbit's total mass. The solver runs on this smaller matrix and
 certifies the same capacity.
+
+The binomial family is folded once per L, into integer counts that each
+d only weights by output length (_binomial_orbit_store). A binomial
+SparseChannel carries the skeleton and its L + 1 length weights and
+forms probs on first read (row, dump_channel, validate, a solve on the
+full channel), which orbit_channel never does.
 """
 
 import math
@@ -49,12 +55,28 @@ class SparseChannel:
 
     indptr: np.ndarray          # (n_inputs + 1,) row boundaries
     indices: np.ndarray         # (nnz,) output ids, strictly increasing per row
-    probs: np.ndarray           # (nnz,) strictly positive float64
+    probs: np.ndarray | None    # (nnz,) float64; None: formed on first read
     input_length: int           # bits per input label; input id == label value
     output_lengths: np.ndarray  # (n_outputs,) bits of each output label
     output_values: np.ndarray   # (n_outputs,) value of each output label
     exact_numerators: np.ndarray | None = None  # embedding counts (fixed family)
     exact_denominator: int | None = None        # common denominator C(L, L-R)
+    # binomial family: the weight d^(L-r) (1-d)^r of each output length r,
+    # which scales the cached count skeleton of this input length
+    length_weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.probs is None:  # left to __getattr__ until first read
+            object.__delattr__(self, "probs")
+
+    def __getattr__(self, name):
+        # normal lookup fails only for probs that are not formed yet
+        if name != "probs" or self.length_weights is None:
+            raise AttributeError(name)
+        counts = _binomial_structure(self.input_length)[2]
+        probs = counts * self.length_weights[self.output_lengths[self.indices]]
+        object.__setattr__(self, "probs", probs)
+        return probs
 
     @property
     def input_count(self):
@@ -111,8 +133,9 @@ class SparseChannel:
 
     @cached_property
     def _row_plogp(self):
-        # sum_y P(y|x) log P(y|x) per row, in nats; rows are never empty
-        e = self.probs * np.log(self.probs)
+        # sum_y P(y|x) log P(y|x) per row, in nats, with 0 log 0 = 0 where
+        # a length weight underflows; rows are never empty
+        e = self.probs * np.log(np.where(self.probs > 0.0, self.probs, 1.0))
         return np.add.reduceat(e, self.indptr[:-1])
 
     def validate(self, atol=1e-12):
@@ -229,8 +252,8 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
     P(y | x) = embedding_count(x, y) d^(L-|y|) (1-d)^|y| over outputs of
     every length 0..L; the empty string is a first-class output. The
     d-independent count skeleton, the stacked fixed-deletion count blocks
-    (L, r) for r = 0..L, is cached per L, so sweeping d only rescales
-    probabilities.
+    (L, r) for r = 0..L, is cached per L; the channel carries it with the
+    L + 1 length weights and forms probs only when something reads them.
     """
     if L < 1:
         raise ParameterError(f"need L >= 1, got L={L}")
@@ -244,15 +267,16 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
         raise ResourceLimitError(
             f"binomial channel L={L} may need {est} entries,"
             f" budget {entry_budget}")
-    indptr, cols, counts, lengths, values = _binomial_structure(L)
-    factor = np.array([d ** (L - r) * (1.0 - d) ** r for r in range(L + 1)])
+    indptr, cols, _, lengths, values = _binomial_structure(L)
     return SparseChannel(
         indptr=indptr,
         indices=cols,
-        probs=counts * factor[lengths[cols]],
+        probs=None,
         input_length=L,
         output_lengths=lengths,
         output_values=values,
+        length_weights=np.array([d ** (L - r) * (1.0 - d) ** r
+                                 for r in range(L + 1)]),
     )
 
 
@@ -286,6 +310,7 @@ class OrbitChannel:
     """
 
     _matrix: sparse.csr_array    # M[o, O] = P(O | representatives[o])
+    _matrix_t: sparse.csr_array  # M transposed, for q = M^T r
     _row_plogp: np.ndarray       # (input orbits,) row term, in nats
     representatives: np.ndarray  # (input orbits,) smallest member of each
     input_sizes: np.ndarray      # (input orbits,) members per input orbit
@@ -299,17 +324,14 @@ class OrbitChannel:
     def entry_count(self):
         return self._matrix.nnz
 
-    @cached_property
-    def _matrix_t(self):
-        return self._matrix.T.tocsr()
-
 
 def _orbit_layout(L, indptr, indices, output_lengths, output_values):
     """Where the reduced channel's entries come from, for one sparsity
     pattern: (picked, starts, target, indptr, indices, representatives,
     input_sizes, output_sizes). The reduced matrix sums entry picked[k]
     of the full channel into its entry target[k]; starts[o] is the first
-    k of row o."""
+    k of row o. The reduced indptr and indices are int32, which makes
+    the solver's products faster than int64 and gives the same sums."""
     _, representatives, input_sizes = _label_orbits(L)
     out_orbit = np.empty(len(output_lengths), dtype=np.int64)
     output_sizes = np.zeros(0, dtype=np.int64)
@@ -326,37 +348,87 @@ def _orbit_layout(L, indptr, indices, output_lengths, output_values):
         np.repeat(np.arange(len(representatives)), widths) * len(output_sizes)
         + out_orbit[indices[picked]], return_inverse=True)
     rows, cols = np.divmod(cells, len(output_sizes))
-    return (picked, starts, target,
-            np.searchsorted(rows, np.arange(len(representatives) + 1)), cols,
-            representatives, input_sizes.astype(np.float64), output_sizes)
+    reduced_indptr = np.searchsorted(rows, np.arange(len(representatives) + 1))
+    return (picked, starts, target, reduced_indptr.astype(np.int32),
+            cols.astype(np.int32), representatives,
+            input_sizes.astype(np.float64), output_sizes)
 
 
 @cache
-def _binomial_orbit_layout(L):
-    """The orbit layout of the binomial skeleton, shared by every d."""
-    indptr, cols, _, lengths, values = _binomial_structure(L)
-    return _orbit_layout(L, indptr, cols, lengths, values)
+def _binomial_orbit_store(L):
+    """The binomial skeleton of block length L folded onto its orbits
+    once, for every d: (C, C transposed, the output length of each entry
+    of both, H, representatives, input_sizes, output_sizes).
+
+    Every member of an output orbit has the same length r, so at any d
+    the reduced matrix is M[o, O] = w_r C[o, O], with w_r = d^(L-r)
+    (1-d)^r and C[o, O] the summed embedding counts, exact in float64.
+    Every row holds C(L, r) embeddings of length r, so the row term at d
+    is sum_r w_r H[o, r] + sum_r C(L, r) w_r log w_r, with H[o, r] the
+    sum of c log c over the length-r counts c of the representative's
+    full row plus sum_{|O|=r} C[o, O] log |O|.
+    """
+    indptr, cols, counts, lengths, values = _binomial_structure(L)
+    (picked, starts, target, reduced_indptr, reduced_indices, representatives,
+     input_sizes, output_sizes) = _orbit_layout(L, indptr, cols, lengths,
+                                                values)
+    n_rows, width = len(representatives), L + 1
+    full = counts[picked].astype(np.float64)
+    full_lengths = lengths[cols[picked]]
+    summed = np.bincount(target, full, len(reduced_indices))
+    # output orbits are numbered length by length, shortest first
+    orbit_lengths = np.repeat(np.arange(width, dtype=np.int8),
+                              [len(_label_orbits(r)[1]) for r in range(width)])
+    summed_lengths = orbit_lengths[reduced_indices]
+    full_rows = np.repeat(np.arange(n_rows), np.diff(starts, append=len(full)))
+    rows = np.repeat(np.arange(n_rows), np.diff(reduced_indptr))
+    by_length = (
+        np.bincount(full_rows * width + full_lengths, full * np.log(full),
+                    n_rows * width)
+        + np.bincount(rows * width + summed_lengths,
+                      summed * np.log(output_sizes[reduced_indices]),
+                      n_rows * width))
+    matrix = sparse.csr_array((summed, reduced_indices, reduced_indptr),
+                              shape=(n_rows, len(output_sizes)))
+    matrix_t = matrix.T.tocsr()
+    return (matrix, matrix_t, summed_lengths,
+            np.repeat(orbit_lengths, np.diff(matrix_t.indptr)),
+            by_length.reshape(n_rows, width), representatives, input_sizes,
+            output_sizes)
 
 
 def orbit_channel(channel):
     """Fold a fixed-deletion or binomial SparseChannel onto its orbits
-    under complement and reversal (see the module docstring)."""
+    under complement and reversal (see the module docstring). A binomial
+    channel is its length weights applied to the folded count store of
+    its block length; its full probabilities are never read."""
     L = channel.input_length
-    # a binomial channel on the cached skeleton: one layout serves every d
-    if (channel.exact_numerators is None
-            and channel.indices is _binomial_structure(L)[1]):
-        layout = _binomial_orbit_layout(L)
-    else:
-        layout = _orbit_layout(L, channel.indptr, channel.indices,
-                               channel.output_lengths, channel.output_values)
+    if channel.length_weights is not None:
+        w = channel.length_weights
+        (counts, counts_t, lengths, lengths_t, by_length, representatives,
+         input_sizes, output_sizes) = _binomial_orbit_store(L)
+        w_log_w = w * np.log(np.where(w > 0.0, w, 1.0))  # 0 log 0 = 0
+        embeddings = np.array([math.comb(L, r) for r in range(L + 1)],
+                              dtype=np.float64)
+        # take() gathers with int8 positions about 3x faster than w[at]
+        matrix, matrix_t = (
+            sparse.csr_array((m.data * w.take(at), m.indices, m.indptr),
+                             shape=m.shape)
+            for m, at in ((counts, lengths), (counts_t, lengths_t)))
+        return OrbitChannel(matrix, matrix_t,
+                            by_length @ w + embeddings @ w_log_w,
+                            representatives, input_sizes, output_sizes)
     (picked, starts, target, indptr, indices, representatives, input_sizes,
-     output_sizes) = layout
+     output_sizes) = _orbit_layout(L, channel.indptr, channel.indices,
+                                   channel.output_lengths,
+                                   channel.output_values)
     probs = channel.probs[picked]
     matrix = sparse.csr_array(
         (np.bincount(target, probs, len(indices)), indices, indptr),
         shape=(len(representatives), len(output_sizes)))
     plogp = np.add.reduceat(probs * np.log(probs), starts)
-    return OrbitChannel(matrix, plogp + matrix @ np.log(output_sizes),
+    return OrbitChannel(matrix, matrix.T.tocsr(),
+                        plogp + matrix @ np.log(output_sizes),
                         representatives, input_sizes, output_sizes)
 
 

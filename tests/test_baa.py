@@ -112,6 +112,15 @@ class TestClosedFormChannels:
             assert result.converged
             assert result.capacity_upper == pytest.approx(1 - e, abs=1e-9)
 
+    def test_underflowed_weights_give_noiseless_capacity(self):
+        # at d = 1e-200 every length weight but the top two is 0.0 in
+        # float64; those stored zeros count as 0 log 0 = 0 in both forms
+        channel = build_binomial_deletion_channel(4, 1e-200)
+        for form in (channel, orbit_channel(channel)):
+            result = solve_capacity(form)
+            assert result.converged
+            assert result.capacity_lower == pytest.approx(4.0, abs=1e-12)
+
     def test_symmetric_channel(self):
         p = 0.11
         closed = 1 + p * math.log2(p) + (1 - p) * math.log2(1 - p)

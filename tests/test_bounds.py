@@ -9,7 +9,7 @@ from delcap import (BoundSpec, ParameterError, SolverNotConvergedError,
                     limit_large_d_c2, limit_small_d_c2, limit_small_d_c3,
                     lower_bound, resolve_l_max, solve_capacity, sweep_bound)
 from delcap.bounds import BOUND_KINDS, LOWER_KINDS, UPPER_KINDS
-from delcap.channel import _binomial_structure
+from delcap.channel import _binomial_orbit_store, _binomial_structure
 from delcap.tables import CoefficientTable
 
 from reference_values import (ALPHA_TILDE_DIAGONAL, PRIOR_LARGE_D_LOWER,
@@ -367,8 +367,9 @@ class TestGridAndSweep:
         spec = BoundSpec("c4", {"L": 4})
         grid = d_grid(0.2, 0.8, 0.2)
         serial = sweep_bound(spec, grid, default_table)
-        # the threads race to build the skeleton cold
+        # the threads race to build the skeleton and its folded store cold
         _binomial_structure.cache_clear()
+        _binomial_orbit_store.cache_clear()
         parallel = sweep_bound(spec, grid, default_table, jobs=3)
         assert serial.points == parallel.points
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import delcap.bounds
 from delcap import (BitString, ParameterError, ResourceLimitError,
                     binomial_weight, build_binomial_deletion_channel,
                     build_fixed_deletion_channel, dump_channel,
@@ -251,6 +254,8 @@ class TestOrbitChannel:
             assert reduced.output_sizes.sum() == channel.output_count
             assert reduced.input_count == len(reduced.representatives)
             assert reduced._matrix.has_canonical_format
+            for m in (reduced._matrix, reduced._matrix_t):
+                assert m.indices.dtype == m.indptr.dtype == np.int32
             assert np.all(reduced._matrix.data > 0.0)
             assert np.allclose(reduced._matrix.sum(axis=1), 1.0,
                                rtol=0.0, atol=1e-12)
@@ -268,17 +273,42 @@ class TestOrbitChannel:
                                rtol=0.0, atol=1e-12)
 
 
-    def test_cached_binomial_layout_matches_fresh_one(self):
-        # a binomial channel on the cached skeleton reuses one layout for
-        # every d; the same channel on copied arrays gets a fresh one
-        channel = build_binomial_deletion_channel(6, 0.3)
-        copied = dataclasses.replace(channel, indptr=channel.indptr.copy(),
-                                     indices=channel.indices.copy())
-        cached, fresh = orbit_channel(channel), orbit_channel(copied)
-        assert np.array_equal(cached._matrix.indptr, fresh._matrix.indptr)
-        assert np.array_equal(cached._matrix.indices, fresh._matrix.indices)
-        assert np.array_equal(cached._matrix.data, fresh._matrix.data)
-        assert np.array_equal(cached._row_plogp, fresh._row_plogp)
+    @settings(deadline=None)
+    @given(st.integers(1, 9), st.floats(0.001, 0.999))
+    def test_store_matches_eager_fold(self, L, d):
+        # the folded count store at d against the full probabilities
+        # formed eagerly and folded entry by entry (_orbit_layout)
+        channel = build_binomial_deletion_channel(L, d)
+        eager = dataclasses.replace(channel, probs=channel.probs,
+                                    length_weights=None)
+        stored, folded = orbit_channel(channel), orbit_channel(eager)
+        assert np.array_equal(stored._matrix.indptr, folded._matrix.indptr)
+        assert np.array_equal(stored._matrix.indices, folded._matrix.indices)
+        assert np.allclose(stored._matrix.data, folded._matrix.data,
+                           rtol=1e-12, atol=0.0)
+        # the row term mixes signs, so allow rounding next to zero
+        assert np.allclose(stored._row_plogp, folded._row_plogp,
+                           rtol=1e-12, atol=1e-14)
+        transposed = stored._matrix.T.tocsr()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stored._matrix_t, name),
+                                  getattr(transposed, name))
+
+    def test_c4_fold_leaves_full_probabilities_unformed(self, monkeypatch):
+        built = []
+        build = delcap.bounds.build_binomial_deletion_channel
+
+        def keep(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(delcap.bounds, "build_binomial_deletion_channel",
+                            keep)
+        delcap.bounds._binomial_orbits(12, 0.3)
+        assert len(built) == 1 and "probs" not in vars(built[0])
+        # read on demand, they are the counts times the length weights
+        assert built[0].probs[0] == 0.3 ** 12
+        assert "probs" in vars(built[0])
 
 
 class TestDump:

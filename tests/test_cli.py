@@ -98,6 +98,16 @@ class TestBoundCommand:
         assert row[0] == "lower_iud"
         assert row[4] == "lower"
 
+    @pytest.mark.parametrize("kind", ["c4", "lower"])
+    def test_underflowed_length_weights_still_solve(self, capsys, kind):
+        # d^(L-r) (1-d)^r is 0.0 in float64 for r < L - 1 here; those
+        # entries count as 0 log 0 = 0 and the channel is nearly noiseless
+        code, out, err = run_cli(capsys, "bound", "--kind", kind, "--L", "4",
+                                 "--d", "1e-200")
+        assert code == 0, err
+        (row,) = rows_of(out)
+        assert row[3] == "1.0"
+
     def test_c1_needs_explicit_d_count(self, capsys, table_cache_path):
         code, _, err = run_cli(capsys, "bound", "--kind", "c1_star",
                                "--d", "0.4", "--cache", table_cache_path)
