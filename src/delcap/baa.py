@@ -16,15 +16,23 @@ divergence, which is the same for every member of an orbit, so the
 reduced iterates are the full ones summed over orbits and the bracket
 certifies the full channel's capacity.
 
-The steps are over-relaxed (Matz & Duhamel 2004; Yu 2010): from the
-kept law r with divergences D, the trial law is proportional to
-r·exp(λ·D), where plain Blahut-Arimoto is λ = 1. λ starts at 2 and grows
-×1.1 per accepted trial, up to 4. A trial whose mutual information falls
-below the kept lower estimate is rejected: λ is halved (never below 1)
-and the next trial is the plain step from the kept law, which cannot
-lower the mutual information; it is kept and leaves λ as it is. Every
-reported bracket therefore comes from one kept law. One iteration is one divergence evaluation, a
-rejected trial included, so max_iterations caps the matrix products.
+The steps are over-relaxed (Matz & Duhamel 2004; Yu 2010), with one
+step size per input (the per-weight rates of Jacobs 1988): from the kept
+law r with divergences D and mutual information I, the trial law is
+proportional to r·exp(λ⊙(D − I)), where plain Blahut-Arimoto is λ = 1.
+The gap is centred because λ differs across inputs: the sign of D − I
+says whether the plain step raises or lowers an input's mass, and λ
+only scales that move. Each λ starts at 2. On an accepted trial it
+grows ×1.3, up to 16, where the input's gap has the same sign as under
+the previous kept law, and is halved (never below 1) where the sign
+flipped, so an input pushed to tiny mass early regrows fast while a
+stiff one settles. A trial whose mutual information falls
+below the kept lower estimate is rejected: every λ is halved (never
+below 1) and the next trial is the plain step from the kept law, which
+cannot lower the mutual information; it is kept and leaves λ as it is.
+Every reported bracket therefore comes from one kept law. One iteration
+is one divergence evaluation, a rejected trial included, so
+max_iterations caps the matrix products.
 """
 
 import math
@@ -40,11 +48,12 @@ DEFAULT_MAX_ITERATIONS = 20000
 
 # probabilities below this are treated as zero inside logarithms
 _FLOOR = 1e-300
-# over-relaxation factor λ: first value, growth per accepted step, ceiling;
-# a rejected trial halves it, down to the plain step 1
+# per-input over-relaxation factor λ: first value, growth per accepted step
+# whose gap keeps its sign, ceiling; a sign flip halves that input's λ and a
+# rejected trial halves every λ, down to the plain step 1
 _STEP_START = 2.0
-_STEP_GROWTH = 1.1
-_STEP_MAX = 4.0
+_STEP_GROWTH = 1.3
+_STEP_MAX = 16.0
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,9 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
     convergence never raises; the partial bracket comes back flagged with
     converged=False and callers decide how to propagate that.
     One iteration is one divergence evaluation of a trial law: the
-    over-relaxed step from the kept law, or after a rejected trial the
-    plain step (see the module docstring). The bracket and the returned
+    over-relaxed step from the kept law, each input scaled by its own λ
+    along its centred gap D − I, or after a rejected trial the plain step
+    (see the module docstring). The bracket and the returned
     input_distribution always belong to the same kept law, whose lower
     estimate never drops. on_iteration(iteration, lower_bits, upper_bits)
     is invoked once per iteration with the kept bracket when supplied,
@@ -91,7 +101,7 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
         raise ParameterError("max_iterations must be at least 1")
     tol_nats = tolerance * LN2
     trial = np.log(channel.input_sizes)  # log-weights of the start law
-    step = _STEP_START
+    step = np.full(channel.input_count, _STEP_START)
     plain = True  # take the trial as is: the start law, or a fallback
     for it in range(1, max_iterations + 1):
         w = np.exp(trial)
@@ -99,22 +109,25 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
         t_div = _divergences(channel, t)
         t_lower = float(t @ t_div)
         if plain or t_lower >= lower:
-            if not plain:
-                step = min(step * _STEP_GROWTH, _STEP_MAX)
-            log_r, r, div, lower = trial, t, t_div, t_lower
-            upper = float(div.max())
+            t_gap = t_div - t_lower
+            if not plain:  # grow where the gap kept its sign, else halve
+                step = np.where((t_gap > 0.0) == (gap > 0.0),
+                                np.minimum(step * _STEP_GROWTH, _STEP_MAX),
+                                np.maximum(step / 2.0, 1.0))
+            log_r, r, gap, lower = trial, t, t_gap, t_lower
+            upper = float(t_div.max())
             if upper < lower:  # max >= mean up to rounding noise; keep the order
                 upper = lower
             plain = False
         else:  # rejected: keep the law, retry with the plain step
-            step = max(step / 2.0, 1.0)
+            step = np.maximum(step / 2.0, 1.0)
             plain = True
         if on_iteration is not None:
             on_iteration(it, lower / LN2, upper / LN2)
         if upper - lower <= tol_nats:
             return BaaResult(lower / LN2, upper / LN2, r, it,
                              (upper - lower) / LN2, True)
-        trial = log_r + (1.0 if plain else step) * div
+        trial = log_r + (gap if plain else step * gap)
         trial -= trial.max()
     return BaaResult(lower / LN2, upper / LN2, r, max_iterations,
                      (upper - lower) / LN2, False)

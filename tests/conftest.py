@@ -8,7 +8,9 @@ from delcap import build_default_table, save_table
 def pytest_addoption(parser):
     parser.addoption(
         "--run-long", action="store_true", default=False,
-        help="run the long reproduction jobs (deep tables, hours)")
+        help="run the long reproduction jobs (deep tables; the diagonal"
+             " to 22 takes about 8 s and 2.1 GB, the two L=17 jobs need"
+             " about 6.5 GB)")
 
 
 def pytest_collection_modifyitems(config, items):

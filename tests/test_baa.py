@@ -223,8 +223,10 @@ class TestOverRelaxedSteps:
         assert all(b >= a for a, b in zip(lowers, lowers[1:]))
 
     def test_acceleration_is_on_and_fallback_is_safe(self, monkeypatch):
-        channel = build_binomial_deletion_channel(8, 0.5)
-        plain_iterations, _, _ = plain_blahut_arimoto(channel, 5e-3)
+        # per-input steps: 24 evaluations against 141 plain at L=8, d=0.5
+        fast = build_binomial_deletion_channel(8, 0.5)
+        plain_iterations, _, _ = plain_blahut_arimoto(fast, 5e-3)
+        assert solve_capacity(fast).iterations <= 0.25 * plain_iterations
         divergences = delcap.baa._divergences
         trials = []  # I of every trial law, in bits, as the solver computes it
 
@@ -235,10 +237,10 @@ class TestOverRelaxedSteps:
 
         monkeypatch.setattr(delcap.baa, "_divergences", spy)
         lowers = []
-        result = solve_capacity(channel,
+        # at d=0.7 some over-relaxed trials overshoot and are rejected
+        result = solve_capacity(build_binomial_deletion_channel(8, 0.7),
                                 on_iteration=lambda it, lo, hi: lowers.append(lo))
         assert result.converged
-        assert result.iterations <= 0.6 * plain_iterations
         assert len(trials) == len(lowers) == result.iterations
         rejected = [i for i in range(1, len(trials)) if trials[i] < lowers[i - 1]]
         assert rejected

@@ -1,5 +1,6 @@
 import pytest
 
+import delcap.bounds
 from delcap import (BoundSpec, ParameterError, SolverNotConvergedError,
                     alpha, alpha_tilde, bound_c1_star, bound_c2_star,
                     bound_c3, bound_c4, binomial_weight,
@@ -194,6 +195,24 @@ class TestC4:
             coarse = bound_c4(ell, 0.3)
             fine = bound_c4(n * ell, 0.3)
             assert fine <= coarse + 5e-3
+
+    def test_sweep_evaluation_count(self, monkeypatch):
+        # one count per divergence evaluation, so this guards the solver's
+        # step rule without timing: 1055 with a single shared step, 454
+        # with one step per input
+        solve = delcap.bounds.solve_capacity
+        iterations = []
+
+        def spy(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(delcap.bounds, "solve_capacity", spy)
+        for d in d_grid(0.05, 0.95, 0.05):
+            bound_c4(10, d)
+        assert len(iterations) == 19
+        assert sum(iterations) <= 600
 
     def test_below_c3_within_tolerances(self, default_table):
         for d in (0.1, 0.5, 0.9):

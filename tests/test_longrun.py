@@ -1,5 +1,8 @@
-"""Deep-block reproduction jobs: hours of solver time and tens of
-gigabytes at the far end, so everything here hides behind --run-long.
+"""Deep-block reproduction jobs, hidden behind --run-long for their
+memory. The deep table (diagonal to 22) builds in about 8 s at about
+2.1 GB, and the three jobs on it and on (17, 8) pass in about 17 s. The
+two L=17 jobs (c4, lower bound) build an L=17 binomial skeleton of about
+6.5 GB (projected, not run), more than an 8 GB machine can hold.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
 their values repeat the frozen desk-scale references at full depth.
@@ -7,9 +10,11 @@ their values repeat the frozen desk-scale references at full depth.
 
 import pytest
 
-from delcap import (CoefficientTable, alpha_tilde, bound_c4, f_value,
-                    limit_large_d_c2, limit_small_d_c3, lower_bound,
-                    populate_table)
+from delcap import (CoefficientTable, alpha_tilde, bound_c4,
+                    build_fixed_deletion_channel, f_value, limit_large_d_c2,
+                    limit_small_d_c3, lower_bound, populate_table,
+                    solve_capacity)
+from delcap.channel import orbit_channel
 
 from reference_values import (ALPHA_TILDE_DIAGONAL, C4_L17_D050,
                               LARGE_D_RATIO_R8_L17, LOWER_L17,
@@ -35,6 +40,13 @@ def test_single_deletion_gap_row_deep(deep_table):
         hi = alpha_tilde(L, 1, deep_table, "upper")
         assert lo <= reference + 0.01
         assert hi >= reference - 0.01
+        # a tight bracket lies inside the rounded-down window
+        channel = orbit_channel(build_fixed_deletion_channel(
+            L, L - 1, l_cap=DEEP_L_CAP, entry_budget=DEEP_BUDGET))
+        result = solve_capacity(channel, 1e-4)
+        assert result.converged
+        lo, hi = (L - 1) - result.capacity_upper, (L - 1) - result.capacity_lower
+        assert reference <= lo and hi < reference + 0.01, (L, lo, hi)
 
 
 def test_small_d_slope_deep(deep_table):
