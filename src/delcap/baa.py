@@ -70,9 +70,10 @@ class BaaResult:
 
 def _divergences(channel, dist):
     """KL(P(.|x) || q) in nats for every x, with q induced by dist."""
-    q = channel._matrix_t @ dist
+    w = channel._column_weights  # the channel is _matrix diag(w)
+    q = w * (channel._matrix_t @ dist)
     log_q = np.log(np.maximum(q, _FLOOR))
-    return channel._row_plogp - channel._matrix @ log_q
+    return channel._row_plogp - channel._matrix @ (w * log_q)
 
 
 def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,

@@ -27,11 +27,13 @@ reduced row term of x's orbit minus sum_O M[o, O] log q_O, where q_O is
 the orbit's total mass. The solver runs on this smaller matrix and
 certifies the same capacity.
 
-The binomial family is folded once per L, into integer counts that each
-d only weights by output length (_binomial_orbit_store). A binomial
-SparseChannel carries the skeleton and its L + 1 length weights and
-forms probs on first read (row, dump_channel, validate, a solve on the
-full channel), which orbit_channel never does.
+Both families fold alike (_fold_counts): integer embedding counts C on
+the orbits, times one weight per output length, M = C diag(w), which
+the solver applies to vectors. The binomial skeleton is folded once per
+L (_binomial_orbit_store) and shared by every d. A binomial
+SparseChannel carries it with its L + 1 length weights and forms probs
+on first read (row, dump_channel, validate, a solve on the full
+channel), which orbit_channel never does.
 """
 
 import math
@@ -120,6 +122,8 @@ class SparseChannel:
         return [(j, Fraction(int(n), self.exact_denominator))
                 for j, n in zip(self.indices[lo:hi].tolist(),
                                 self.exact_numerators[lo:hi].tolist())]
+
+    _column_weights = 1.0  # probs are the solver's matrix as they stand
 
     @cached_property
     def _matrix(self):
@@ -299,18 +303,22 @@ def _label_orbits(n):
 
 @dataclass(frozen=True, eq=False)
 class OrbitChannel:
-    """A deletion channel folded onto complement × reversal orbits.
+    """A deletion channel folded onto complement × reversal orbits, as
+    counts times column weights: M = C diag(w).
 
     Row o stands for the input orbit of representatives[o], column O for
     an output orbit; input_sizes and output_sizes count their members.
-    _row_plogp[o] is sum_y P log P over the full row of the
-    representative plus sum_O M[o, O] log |O|, so the solver's
-    divergences are those of the full channel at each representative,
-    for any law that is constant on orbits.
+    C[o, O] sums the embedding counts of the representative into the
+    members of O, and w[O] is the weight of O's output length, so
+    M[o, O] = P(O | representatives[o]). _row_plogp[o] is sum_y P log P
+    over the full row of the representative plus sum_O M[o, O] log |O|,
+    so the solver's divergences are those of the full channel at each
+    representative, for any law that is constant on orbits.
     """
 
-    _matrix: sparse.csr_array    # M[o, O] = P(O | representatives[o])
-    _matrix_t: sparse.csr_array  # M transposed, for q = M^T r
+    _matrix: sparse.csr_array    # C, exact counts in float64
+    _matrix_t: sparse.csr_array  # C transposed, for q = w ⊙ (C^T r)
+    _column_weights: np.ndarray  # (output orbits,) w
     _row_plogp: np.ndarray       # (input orbits,) row term, in nats
     representatives: np.ndarray  # (input orbits,) smallest member of each
     input_sizes: np.ndarray      # (input orbits,) members per input orbit
@@ -325,110 +333,79 @@ class OrbitChannel:
         return self._matrix.nnz
 
 
-def _orbit_layout(L, indptr, indices, output_lengths, output_values):
-    """Where the reduced channel's entries come from, for one sparsity
-    pattern: (picked, starts, target, indptr, indices, representatives,
-    input_sizes, output_sizes). The reduced matrix sums entry picked[k]
-    of the full channel into its entry target[k]; starts[o] is the first
-    k of row o. The reduced indptr and indices are int32, which makes
-    the solver's products faster than int64 and gives the same sums."""
+def _fold_counts(L, indptr, indices, counts, output_lengths, output_values):
+    """Integer embedding counts of L-bit inputs folded onto orbits: (C,
+    C transposed, H, the output length of each column, representatives,
+    input_sizes, output_sizes). Output orbits are numbered length by
+    length, shortest first. H[o, r] is the sum of c log c over the
+    length-r counts c of the representative's full row plus
+    sum_{|O|=r} C[o, O] log |O|. C keeps int32 indices, which makes the
+    solver's products faster than int64 and gives the same sums.
+    """
     _, representatives, input_sizes = _label_orbits(L)
-    out_orbit = np.empty(len(output_lengths), dtype=np.int64)
-    output_sizes = np.zeros(0, dtype=np.int64)
+    out_orbit = np.empty(len(output_lengths), dtype=np.int32)
+    sizes, lengths = [], []
     for r in np.unique(output_lengths):  # shorter labels' orbits first
-        index, _, sizes = _label_orbits(int(r))
+        index, _, orbit_sizes = _label_orbits(int(r))
         at = output_lengths == r
-        out_orbit[at] = len(output_sizes) + index[output_values[at]]
-        output_sizes = np.concatenate([output_sizes, sizes])
-    lo = indptr[representatives]
-    widths = indptr[representatives + 1] - lo
-    starts = np.cumsum(widths) - widths
-    picked = np.repeat(lo - starts, widths) + np.arange(widths.sum())
-    cells, target = np.unique(
-        np.repeat(np.arange(len(representatives)), widths) * len(output_sizes)
-        + out_orbit[indices[picked]], return_inverse=True)
-    rows, cols = np.divmod(cells, len(output_sizes))
-    reduced_indptr = np.searchsorted(rows, np.arange(len(representatives) + 1))
-    return (picked, starts, target, reduced_indptr.astype(np.int32),
-            cols.astype(np.int32), representatives,
-            input_sizes.astype(np.float64), output_sizes)
+        out_orbit[at] = sum(map(len, sizes)) + index[output_values[at]]
+        sizes.append(orbit_sizes)
+        lengths.append(np.full(len(orbit_sizes), r, dtype=np.int8))
+    output_sizes = np.concatenate(sizes)
+    column_lengths = np.concatenate(lengths)
+    rows = sparse.csr_array(
+        (counts, indices.astype(np.int32, copy=False),
+         indptr.astype(np.int32, copy=False)),
+        shape=(len(indptr) - 1, len(output_lengths)))[representatives]
+    c = rows.data.astype(np.float64)
+    c_log_c = np.log(c)
+    c_log_c *= c
+
+    def by_length(values, lengths, indptr):
+        # sums each row's values per length: toarray adds up duplicates
+        return sparse.csr_array((values, lengths, indptr),
+                                shape=(len(indptr) - 1, L + 1)).toarray()
+
+    h = by_length(c_log_c, output_lengths[rows.indices], rows.indptr)
+    matrix = sparse.csr_array((c, out_orbit[rows.indices], rows.indptr.copy()),
+                              shape=(len(representatives), len(output_sizes)))
+    matrix.sum_duplicates()  # in place, sorted; the counts sum exactly
+    h += by_length(matrix.data * np.log(output_sizes)[matrix.indices],
+                   column_lengths[matrix.indices], matrix.indptr)
+    return (matrix, matrix.T.tocsr(), h, column_lengths,
+            representatives, input_sizes.astype(np.float64), output_sizes)
 
 
 @cache
 def _binomial_orbit_store(L):
-    """The binomial skeleton of block length L folded onto its orbits
-    once, for every d: (C, C transposed, the output length of each entry
-    of both, H, representatives, input_sizes, output_sizes).
-
-    Every member of an output orbit has the same length r, so at any d
-    the reduced matrix is M[o, O] = w_r C[o, O], with w_r = d^(L-r)
-    (1-d)^r and C[o, O] the summed embedding counts, exact in float64.
-    Every row holds C(L, r) embeddings of length r, so the row term at d
-    is sum_r w_r H[o, r] + sum_r C(L, r) w_r log w_r, with H[o, r] the
-    sum of c log c over the length-r counts c of the representative's
-    full row plus sum_{|O|=r} C[o, O] log |O|.
-    """
-    indptr, cols, counts, lengths, values = _binomial_structure(L)
-    (picked, starts, target, reduced_indptr, reduced_indices, representatives,
-     input_sizes, output_sizes) = _orbit_layout(L, indptr, cols, lengths,
-                                                values)
-    n_rows, width = len(representatives), L + 1
-    full = counts[picked].astype(np.float64)
-    full_lengths = lengths[cols[picked]]
-    summed = np.bincount(target, full, len(reduced_indices))
-    # output orbits are numbered length by length, shortest first
-    orbit_lengths = np.repeat(np.arange(width, dtype=np.int8),
-                              [len(_label_orbits(r)[1]) for r in range(width)])
-    summed_lengths = orbit_lengths[reduced_indices]
-    full_rows = np.repeat(np.arange(n_rows), np.diff(starts, append=len(full)))
-    rows = np.repeat(np.arange(n_rows), np.diff(reduced_indptr))
-    by_length = (
-        np.bincount(full_rows * width + full_lengths, full * np.log(full),
-                    n_rows * width)
-        + np.bincount(rows * width + summed_lengths,
-                      summed * np.log(output_sizes[reduced_indices]),
-                      n_rows * width))
-    matrix = sparse.csr_array((summed, reduced_indices, reduced_indptr),
-                              shape=(n_rows, len(output_sizes)))
-    matrix_t = matrix.T.tocsr()
-    return (matrix, matrix_t, summed_lengths,
-            np.repeat(orbit_lengths, np.diff(matrix_t.indptr)),
-            by_length.reshape(n_rows, width), representatives, input_sizes,
-            output_sizes)
+    """The binomial skeleton of block length L, folded once for every d."""
+    return _fold_counts(L, *_binomial_structure(L))
 
 
 def orbit_channel(channel):
     """Fold a fixed-deletion or binomial SparseChannel onto its orbits
-    under complement and reversal (see the module docstring). A binomial
-    channel is its length weights applied to the folded count store of
-    its block length; its full probabilities are never read."""
+    under complement and reversal (see the module docstring). Its weight
+    per output length r is 1 / C(L, R) at r = R for a fixed cell, whose
+    counts are folded here uncached (the table solves each cell once),
+    and d^(L-r) (1-d)^r for the binomial family."""
     L = channel.input_length
-    if channel.length_weights is not None:
+    if channel.length_weights is None:
+        w = np.zeros(L + 1)
+        w[channel.output_lengths[0]] = 1.0 / channel.exact_denominator
+        folded = _fold_counts(L, channel.indptr, channel.indices,
+                              channel.exact_numerators,
+                              channel.output_lengths, channel.output_values)
+    else:
         w = channel.length_weights
-        (counts, counts_t, lengths, lengths_t, by_length, representatives,
-         input_sizes, output_sizes) = _binomial_orbit_store(L)
-        w_log_w = w * np.log(np.where(w > 0.0, w, 1.0))  # 0 log 0 = 0
-        embeddings = np.array([math.comb(L, r) for r in range(L + 1)],
-                              dtype=np.float64)
-        # take() gathers with int8 positions about 3x faster than w[at]
-        matrix, matrix_t = (
-            sparse.csr_array((m.data * w.take(at), m.indices, m.indptr),
-                             shape=m.shape)
-            for m, at in ((counts, lengths), (counts_t, lengths_t)))
-        return OrbitChannel(matrix, matrix_t,
-                            by_length @ w + embeddings @ w_log_w,
-                            representatives, input_sizes, output_sizes)
-    (picked, starts, target, indptr, indices, representatives, input_sizes,
-     output_sizes) = _orbit_layout(L, channel.indptr, channel.indices,
-                                   channel.output_lengths,
-                                   channel.output_values)
-    probs = channel.probs[picked]
-    matrix = sparse.csr_array(
-        (np.bincount(target, probs, len(indices)), indices, indptr),
-        shape=(len(representatives), len(output_sizes)))
-    plogp = np.add.reduceat(probs * np.log(probs), starts)
-    return OrbitChannel(matrix, matrix.T.tocsr(),
-                        plogp + matrix @ np.log(output_sizes),
+        folded = _binomial_orbit_store(L)
+    (counts, counts_t, by_length, column_lengths, representatives,
+     input_sizes, output_sizes) = folded
+    # the row term: H @ w plus sum_r (embeddings of length r) w_r log w_r
+    w_log_w = w * np.log(np.where(w > 0.0, w, 1.0))  # 0 log 0 = 0
+    embeddings = np.array([math.comb(L, r) for r in range(L + 1)],
+                          dtype=np.float64)
+    return OrbitChannel(counts, counts_t, w[column_lengths],
+                        by_length @ w + embeddings @ w_log_w,
                         representatives, input_sizes, output_sizes)
 
 

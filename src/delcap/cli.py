@@ -65,6 +65,13 @@ def _grid_triple(text):
             f"non-numeric field in {text!r}") from None
 
 
+def _worker_count(text):
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_bound_flags(parser):
     parser.add_argument(
         "--kind", required=True,
@@ -114,7 +121,7 @@ def build_parser():
                              " entries")
     common.add_argument("--l-max", dest="l_max", type=int,
                         help="largest block length served from the table")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=_worker_count, default=1,
                         help="worker threads for table, verify and a"
                              " single-family sweep; bound, limits and the"
                              " multi-spec sweeps (best, the c1_star D-scan)"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -257,8 +256,8 @@ class TestOrbitChannel:
             for m in (reduced._matrix, reduced._matrix_t):
                 assert m.indices.dtype == m.indptr.dtype == np.int32
             assert np.all(reduced._matrix.data > 0.0)
-            assert np.allclose(reduced._matrix.sum(axis=1), 1.0,
-                               rtol=0.0, atol=1e-12)
+            assert np.allclose(reduced._matrix @ reduced._column_weights,
+                               1.0, rtol=0.0, atol=1e-12)
 
     def test_divergences_match_full_channel(self):
         rng = np.random.default_rng(7)
@@ -274,25 +273,31 @@ class TestOrbitChannel:
 
 
     @settings(deadline=None)
-    @given(st.integers(1, 9), st.floats(0.001, 0.999))
-    def test_store_matches_eager_fold(self, L, d):
-        # the folded count store at d against the full probabilities
-        # formed eagerly and folded entry by entry (_orbit_layout)
-        channel = build_binomial_deletion_channel(L, d)
-        eager = dataclasses.replace(channel, probs=channel.probs,
-                                    length_weights=None)
-        stored, folded = orbit_channel(channel), orbit_channel(eager)
-        assert np.array_equal(stored._matrix.indptr, folded._matrix.indptr)
-        assert np.array_equal(stored._matrix.indices, folded._matrix.indices)
-        assert np.allclose(stored._matrix.data, folded._matrix.data,
-                           rtol=1e-12, atol=0.0)
-        # the row term mixes signs, so allow rounding next to zero
-        assert np.allclose(stored._row_plogp, folded._row_plogp,
-                           rtol=1e-12, atol=1e-14)
-        transposed = stored._matrix.T.tocsr()
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(stored._matrix_t, name),
-                                  getattr(transposed, name))
+    @given(st.integers(1, 9), st.floats(0.001, 0.999), st.integers(0, 2**32))
+    def test_folded_divergences_match_full_channel(self, L, d, seed):
+        # counts times column weights against the full probabilities, at
+        # a random law constant on orbits: the binomial channel at (L, d)
+        # and, for L <= 8, every fixed cell (L, R)
+        rng = np.random.default_rng(seed)
+        index, _, _ = _label_orbits(L)
+        channels = [build_binomial_deletion_channel(L, d)]
+        if L <= 8:
+            channels += [build_fixed_deletion_channel(L, R)
+                         for R in range(L + 1)]
+        for channel in channels:
+            reduced = orbit_channel(channel)
+            weight = rng.uniform(0.01, 1.0, reduced.input_count)
+            law = weight[index] / weight[index].sum()
+            reduced_law = reduced.input_sizes * weight / weight[index].sum()
+            full = _divergences(channel, law)[reduced.representatives]
+            assert np.allclose(_divergences(reduced, reduced_law), full,
+                               rtol=0.0, atol=1e-12)
+
+    def test_binomial_counts_are_shared_across_d(self):
+        a = orbit_channel(build_binomial_deletion_channel(6, 0.2))
+        b = orbit_channel(build_binomial_deletion_channel(6, 0.7))
+        assert a._matrix is b._matrix and a._matrix_t is b._matrix_t
+        assert not np.array_equal(a._column_weights, b._column_weights)
 
     def test_c4_fold_leaves_full_probabilities_unformed(self, monkeypatch):
         built = []

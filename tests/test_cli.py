@@ -33,9 +33,10 @@ class TestTableCommand:
         assert out == cache.read_text()
         lines = out.splitlines()
         assert lines[0] == "delcap-ftable v1"
-        # solved on complement x reversal orbits with per-input steps; the
-        # unreduced solve writes the same bracket
-        pinned = "3,2,1.4697354701988983,1.4703802736386475,0.005,baa"
+        # solved on complement x reversal orbits with per-input steps, as
+        # counts times column weights; the unreduced solve's upper end
+        # rounds one ulp higher (...6475)
+        pinned = "3,2,1.4697354701988983,1.4703802736386473,0.005,baa"
         assert pinned in lines
         # the plain Blahut-Arimoto solver wrote [1.4689225691649872,
         # 1.472514062845397] here; the over-relaxed bracket must meet it
@@ -325,6 +326,24 @@ class TestExitCodes:
                                "--d", "0.5")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "sweep", "--kind", "c4", "--L", "4",
+                                 "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err
+
+    def test_entry_budget_refusal(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--kind", "c4", "--L", "10",
+                                 "--d", "0.5", "--entry-budget", "1000")
+        assert code == 1 and out == ""
+        assert "may need 310272 entries, budget 1000" in err
+        code, out, err = run_cli(capsys, "table", "--l-max", "6",
+                                 "--entry-budget", "100")
+        assert code == 1 and out == ""
+        assert "fixed channel (5,2) may need 128 entries" in err
 
 
 def test_module_entry_point(tmp_path):
