@@ -2,7 +2,8 @@
 """Sweep the upper-bound families over d and compose the pointwise best.
 
 Writes the same CSV schema as the command line tool, one row per family
-per d plus a `best` row naming the winner. Redirect to a file to plot.
+per d plus a `best` row naming the winner. Each family, and the pointwise
+best, is evaluated once over the whole grid. Redirect to a file to plot.
 """
 
 import argparse
@@ -27,18 +28,21 @@ def main():
         BoundSpec("c4", {"L": args.L}),
     ]
 
+    grid = d_grid(args.step, 1.0 - args.step, args.step)
+    curves = [evaluate_bound(spec, grid, table).tolist() for spec in specs]
+    best, winners = compose_best_upper(grid, specs, table)
+
     print("kind,params,d,value,side,tolerance")
-    for d in d_grid(args.step, 1.0 - args.step, args.step):
-        for spec in specs:
-            value = evaluate_bound(spec, d, table)
+    for i, d in enumerate(grid):
+        for spec, curve in zip(specs, curves):
             params = ";".join(f"{k}={spec.parameters[k]}"
                               for k in sorted(spec.parameters))
-            print(f"{spec.kind},{params},{d!r},{value!r},upper,"
+            print(f"{spec.kind},{params},{d!r},{curve[i]!r},upper,"
                   f"{spec.solver_tolerance!r}")
-        best, winner = compose_best_upper(d, specs, table)
-        print(f"best,winner={winner.kind},{d!r},{best!r},upper,"
+        value, winner = float(best[i]), winners[i]
+        print(f"best,winner={winner.kind},{d!r},{value!r},upper,"
               f"{winner.solver_tolerance!r}")
-        print(f"# d={d:.2f}: best={best:.4f} from {winner.kind}",
+        print(f"# d={d:.2f}: best={value:.4f} from {winner.kind}",
               file=sys.stderr)
 
 

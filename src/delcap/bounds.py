@@ -11,10 +11,14 @@ per-letter solve for c4 uses its certified-upper estimate.
 
 import math
 
+import numpy as np
+
 from .baa import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
                   mutual_information, solve_capacity)
 from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP,
                       build_binomial_deletion_channel, orbit_channel)
+# binomial_weight_tilde has no caller in this module; it stays bound
+# here because bench/tracer.py wraps it at this name
 from .combinatorics import binomial_weight, binomial_weight_tilde
 from .errors import ParameterError, SolverNotConvergedError
 from .lemmas import _collect_report
@@ -23,6 +27,8 @@ from .tables import _top_level, alpha, alpha_tilde, closed_form_f
 UPPER_KINDS = ("c1_star", "c2_star", "c3", "c4", "erasure")
 LOWER_KINDS = ("lower_opt", "lower_iud")
 BOUND_KINDS = UPPER_KINDS + LOWER_KINDS
+# kinds that solve a capacity at each d instead of reading the table
+_SOLVED_KINDS = ("c4",) + LOWER_KINDS
 
 DEFAULT_TAIL_CUT = 2000
 
@@ -103,17 +109,71 @@ class BoundCurve:
         self.provenance = provenance
 
 
+class _Grid:
+    """Deletion probabilities d as a 1-D array, with the powers d**k and
+    (1-d)**k that the length weights need, each computed once and shared
+    by every bound evaluated on the grid.
+
+    Each power comes from Python's float `**` (the C library's pow),
+    as in binomial_weight; numpy's vectorised power can differ from it
+    in the last bit, which would move printed values.
+    """
+
+    def __init__(self, d):
+        values = np.asarray(d, dtype=float)
+        if values.ndim > 1:
+            raise ParameterError(
+                f"d must be a number or a 1-D array, got shape {values.shape}")
+        self.values = np.atleast_1d(values)
+        points = self.values.tolist()
+        self._bases = (points, [1.0 - x for x in points])
+        self._powers = ({}, {})
+
+    def _power(self, side, k):
+        powers = self._powers[side]
+        if k not in powers:
+            powers[k] = np.array([x ** k for x in self._bases[side]])
+        return powers[k]
+
+    def weight(self, L, R):
+        """p(L, R) = C(L, R) d^(L-R) (1-d)^R at every d, with the same
+        association and the same cap at 1 as binomial_weight, so each
+        entry equals binomial_weight(L, R, d).value. That holds up to
+        L = 64; past it binomial_weight switches to log-gamma, and no
+        table reaches that far."""
+        return np.minimum(
+            math.comb(L, R) * self._power(0, L - R) * self._power(1, R), 1.0)
+
+
+def _grid(d):
+    """d as a _Grid, and whether it came in as a single number."""
+    if isinstance(d, _Grid):
+        return d, False
+    return _Grid(d), np.ndim(d) == 0
+
+
+def _shaped(values, scalar):
+    """A result over a grid, as a Python float when d was one number."""
+    return float(values[0]) if scalar else values
+
+
 def _check_probability(d, *, open_interval):
-    if not 0.0 <= d <= 1.0:
-        raise ParameterError(f"d must be a probability, got {d}")
-    if open_interval and (d == 0.0 or d == 1.0):
+    d = np.atleast_1d(d)
+    outside = d[~((0.0 <= d) & (d <= 1.0))]
+    if outside.size:
         raise ParameterError(
-            f"d={d} is degenerate here; sweeps serve the endpoints from "
-            "the closed forms 1 and 0")
+            f"d must be a probability, got {float(outside[0])}")
+    if open_interval:
+        degenerate = d[(d == 0.0) | (d == 1.0)]
+        if degenerate.size:
+            raise ParameterError(
+                f"d={float(degenerate[0])} is degenerate here; sweeps serve"
+                " the endpoints from the closed forms 1 and 0")
 
 
 def c1_star_tail(D, l_max, d, table, tail_cut=None):
-    """Extrapolated remainder of the c1_star series beyond l_max.
+    """Extrapolated remainder of the c1_star series beyond l_max, at one
+    d or over an array of d.
 
     Successive extrapolated terms shrink by exactly (1 - d): the
     telescoped gap ratio (L+1-D)/(L+1) cancels against the opposite
@@ -122,20 +182,24 @@ def c1_star_tail(D, l_max, d, table, tail_cut=None):
     block length tail_cut, which still upper-bounds the capacity because
     every dropped term is non-negative.
     """
+    grid, scalar = _grid(d)
+    d = grid.values
     base = alpha_tilde(l_max, D, table, "lower")
     term = (base * (1.0 - D / (l_max + 1))
-            * binomial_weight_tilde(l_max + 1, D, d).value)
+            * grid.weight(l_max + 1, l_max + 1 - D))
     if tail_cut is None:
-        return term / d
-    total = 0.0
+        return _shaped(term / d, scalar)
+    total = np.zeros_like(d)
+    keep = 1.0 - d
     for _ in range(l_max + 1, tail_cut + 1):
         total += term
-        term *= 1.0 - d
-    return total
+        term *= keep
+    return _shaped(total, scalar)
 
 
 def bound_c1_star(D, l_max, d, table, *, tail_cut=None):
-    """Upper bound from the fixed-deletions auxiliary family.
+    """Upper bound from the fixed-deletions auxiliary family, at one d
+    or over an array of d.
 
     1 - d - (d^2/(D+1)) sum_{L>=D} alpha~(L,D) p~(L,D), with table
     values through l_max and the certified extrapolation past it.
@@ -144,17 +208,20 @@ def bound_c1_star(D, l_max, d, table, *, tail_cut=None):
         raise ParameterError(f"D must be non-negative, got {D}")
     if l_max < D:
         raise ParameterError(f"need D <= l_max, got D={D}, l_max={l_max}")
+    grid, scalar = _grid(d)
+    d = grid.values
     _check_probability(d, open_interval=True)
     populated = 0.0
     for L in range(D, l_max + 1):
         populated += (alpha_tilde(L, D, table, "lower")
-                      * binomial_weight_tilde(L, D, d).value)
-    series = populated + c1_star_tail(D, l_max, d, table, tail_cut)
-    return 1.0 - d - d * d / (D + 1) * series
+                      * grid.weight(L, L - D))
+    series = populated + c1_star_tail(D, l_max, grid, table, tail_cut)
+    return _shaped(1.0 - d - d * d / (D + 1) * series, scalar)
 
 
 def bound_c2_star(R, l_max, d, table):
-    """Upper bound from the fixed-survivors auxiliary family.
+    """Upper bound from the fixed-survivors auxiliary family, at one d
+    or over an array of d.
 
     ((1-d)^2/(R+1)) sum_{L=R}^{l_max} [alpha(l_max,R) - alpha(L,R)]
     p(L,R) + (1-d) [1 - alpha(l_max,R)/(R+1)]. The value decreases in
@@ -166,29 +233,36 @@ def bound_c2_star(R, l_max, d, table):
         raise ParameterError(f"R must be non-negative, got {R}")
     if l_max < R:
         raise ParameterError(f"need R <= l_max, got R={R}, l_max={l_max}")
-    if not 0.0 <= d < 1.0:
-        raise ParameterError(f"c2_star needs 0 <= d < 1, got {d}")
+    grid, scalar = _grid(d)
+    d = grid.values
+    outside = d[~((0.0 <= d) & (d < 1.0))]
+    if outside.size:
+        raise ParameterError(
+            f"c2_star needs 0 <= d < 1, got {float(outside[0])}")
     alpha_top = alpha(l_max, R, table, "lower")
     total = 0.0
     for L in range(R, l_max + 1):
         total += ((alpha_top - alpha(L, R, table, "lower"))
-                  * binomial_weight(L, R, d).value)
+                  * grid.weight(L, R))
     keep = 1.0 - d
-    return (keep * keep / (R + 1) * total
-            + keep * (1.0 - alpha_top / (R + 1)))
+    return _shaped(keep * keep / (R + 1) * total
+                   + keep * (1.0 - alpha_top / (R + 1)), scalar)
 
 
 def bound_c3(L, d, table):
     """Upper bound from revealing per-block survivor counts: a finite
-    sum, 1 - d - (1/L) sum_R alpha(L,R) p(L,R). Valid on closed [0,1];
-    at the endpoints the weight mass sits where alpha vanishes."""
+    sum, 1 - d - (1/L) sum_R alpha(L,R) p(L,R), at one d or over an
+    array of d. Valid on closed [0,1]; at the endpoints the weight mass
+    sits where alpha vanishes."""
     if L < 1:
         raise ParameterError(f"L must be at least 1, got {L}")
+    grid, scalar = _grid(d)
+    d = grid.values
     _check_probability(d, open_interval=False)
     gap = 0.0
     for R in range(L + 1):
-        gap += alpha(L, R, table, "lower") * binomial_weight(L, R, d).value
-    return 1.0 - d - gap / L
+        gap += alpha(L, R, table, "lower") * grid.weight(L, R)
+    return _shaped(1.0 - d - gap / L, scalar)
 
 
 def _binomial_orbits(L, d, **limits):
@@ -281,45 +355,65 @@ def limit_large_d_c2(R, l_max, table):
 
 
 def evaluate_bound(spec, d, table):
-    """Dispatch one spec at one d; c4 and the lower bounds take their
-    iteration and size budgets from the table's solver settings."""
+    """Dispatch one spec at one d or over an array of d. The table-backed
+    kinds take the whole array in one pass; c4 and the lower bounds solve
+    once per d, with the iteration and size budgets of the table's solver
+    settings."""
+    grid, scalar = _grid(d)
     p = spec.parameters
     if spec.kind == "erasure":
-        _check_probability(d, open_interval=False)
-        return 1.0 - d
+        _check_probability(grid.values, open_interval=False)
+        return _shaped(1.0 - grid.values, scalar)
     if spec.kind == "c1_star":
-        return bound_c1_star(p["D"], p["l_max"], d, table,
-                             tail_cut=p.get("tail_cut"))
-    if spec.kind == "c2_star":
-        return bound_c2_star(p["R"], p["l_max"], d, table)
-    if spec.kind == "c3":
-        return bound_c3(p["L"], d, table)
+        values = bound_c1_star(p["D"], p["l_max"], grid, table,
+                               tail_cut=p.get("tail_cut"))
+    elif spec.kind == "c2_star":
+        values = bound_c2_star(p["R"], p["l_max"], grid, table)
+    elif spec.kind == "c3":
+        values = bound_c3(p["L"], grid, table)
+    else:
+        values = np.array([_solve_bound(spec, x, table)
+                           for x in grid.values.tolist()])
+    return _shaped(values, scalar)
+
+
+def _solve_bound(spec, d, table):
+    """A c4 or lower-bound spec at one d."""
+    limits = dict(max_iterations=table.max_iterations, l_cap=table.l_cap,
+                  entry_budget=table.entry_budget)
     if spec.kind == "c4":
-        return bound_c4(p["L"], d, spec.solver_tolerance,
-                        max_iterations=table.max_iterations,
-                        l_cap=table.l_cap, entry_budget=table.entry_budget)
+        return bound_c4(spec.parameters["L"], d, spec.solver_tolerance,
+                        **limits)
     policy = "optimized" if spec.kind == "lower_opt" else "iud"
-    return lower_bound(p["L"], d, policy, spec.solver_tolerance,
-                       max_iterations=table.max_iterations,
-                       l_cap=table.l_cap, entry_budget=table.entry_budget)
+    return lower_bound(spec.parameters["L"], d, policy,
+                       spec.solver_tolerance, **limits)
 
 
 def compose_best_upper(d, specs, table):
     """Pointwise best upper bound, with the erasure bound 1 - d always
-    in the running. Returns (value, winning spec)."""
+    in the running. Returns (value, winning spec) at one d, or (array of
+    values, list of winning specs) over an array of d. A spec wins only
+    where it is strictly below everything before it, so ties go to the
+    erasure bound and then to the earlier spec."""
     if not specs:
         raise ParameterError("need at least one upper-bound spec")
     for spec in specs:
         if spec.side != "upper":
             raise ParameterError(
                 f"compose_best_upper only takes upper bounds, got {spec.kind}")
-    best_value = 1.0 - d
-    best_spec = BoundSpec("erasure")
-    for spec in specs:
-        value = evaluate_bound(spec, d, table)
-        if value < best_value:
-            best_value, best_spec = value, spec
-    return best_value, best_spec
+    grid, scalar = _grid(d)
+    candidates = [BoundSpec("erasure"), *specs]
+    best = 1.0 - grid.values
+    winner = np.zeros(best.shape, dtype=int)
+    for index, spec in enumerate(specs, start=1):
+        value = evaluate_bound(spec, grid, table)
+        better = value < best
+        best = np.where(better, value, best)
+        winner[better] = index
+    winners = [candidates[index] for index in winner.tolist()]
+    if scalar:
+        return float(best[0]), winners[0]
+    return best, winners
 
 
 def d_grid(start, stop, step):
@@ -334,25 +428,33 @@ def d_grid(start, stop, step):
     return [min(round(start + i * step, 12), 1.0) for i in range(count + 1)]
 
 
+def sweep_provenance(table, solver_tolerance):
+    """The note a sweep carries: the table depth and tolerance its values
+    read, and the tolerance of its capacity solves."""
+    return (f"table l_max={table.l_max} tolerance={table.tolerance!r};"
+            f" solver_tolerance={solver_tolerance!r}")
+
+
 def sweep_bound(spec, grid, table, jobs=1):
     """One spec over a d-grid, in grid order. The endpoints d=0 and d=1
     come from the closed forms (capacity is exactly 1 and 0 there), so
-    solver-backed kinds only ever run on the open interval."""
-    def at(d):
-        if d == 0.0 or d == 1.0:
-            return 1.0 - d
-        return evaluate_bound(spec, d, table)
-
-    if jobs > 1 and len(grid) > 1:
+    solver-backed kinds only ever run on the open interval. The rest of
+    the grid is one evaluate_bound call, except that jobs > 1 spreads
+    the per-d solves of c4 and the lower bounds over that many threads;
+    the table-backed kinds ignore it."""
+    inner = [d for d in grid if d != 0.0 and d != 1.0]
+    if jobs > 1 and len(inner) > 1 and spec.kind in _SOLVED_KINDS:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(at, grid))
+            values = list(pool.map(
+                lambda d: evaluate_bound(spec, d, table), inner))
     else:
-        values = [at(d) for d in grid]
-    points = [(d, value, spec.side) for d, value in zip(grid, values)]
-    provenance = (f"table l_max={table.l_max} tolerance={table.tolerance!r};"
-                  f" solver_tolerance={spec.solver_tolerance!r}")
-    return BoundCurve(spec, points, provenance)
+        values = evaluate_bound(spec, inner, table).tolist()
+    served = iter(values)
+    points = [(d, 1.0 - d if d == 0.0 or d == 1.0 else next(served),
+               spec.side) for d in grid]
+    return BoundCurve(spec, points,
+                      sweep_provenance(table, spec.solver_tolerance))
 
 
 def _resolvable(table, L, R):

@@ -17,7 +17,7 @@ from pathlib import Path
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .bounds import (BoundSpec, compose_best_upper, d_grid, evaluate_bound,
                      limit_large_d_c2, limit_small_d_c2, limit_small_d_c3,
-                     resolve_l_max, sweep_bound)
+                     resolve_l_max, sweep_bound, sweep_provenance)
 from .channel import DEFAULT_ENTRY_BUDGET
 from .errors import DelcapError, ParameterError, SolverNotConvergedError
 from .lemmas import conjecture2_report, verify_lemma_suite
@@ -122,10 +122,11 @@ def build_parser():
     common.add_argument("--l-max", dest="l_max", type=int,
                         help="largest block length served from the table")
     common.add_argument("--jobs", type=_worker_count, default=1,
-                        help="worker threads for table, verify and a"
-                             " single-family sweep; bound, limits and the"
-                             " multi-spec sweeps (best, the c1_star D-scan)"
-                             " run serially and ignore it")
+                        help="worker threads for table, verify and the"
+                             " c4 and lower sweeps; the table-backed sweeps"
+                             " (c1_star, c2_star, c3, erasure, best) make"
+                             " one pass over the grid, and they, bound and"
+                             " limits ignore it")
     common.add_argument("--allow-long", dest="allow_long",
                         action="store_true",
                         help=f"permit depths past {LONG_RUN_LIMIT} (seconds"
@@ -324,22 +325,29 @@ def _run_bound(config):
     return 0
 
 
-def _pointwise_row(config, specs, d, table):
-    """One row of a multi-spec sweep: the pointwise minimum over specs,
-    or the closed form at the endpoints. `best` names the winning family.
-    A c1_star scan names the winning D; it reports an erasure win as its
-    D=0 spec, whose value is the erasure bound itself."""
-    if d == 0.0 or d == 1.0:
-        value, winner = 1.0 - d, BoundSpec("erasure")
-    else:
-        value, winner = compose_best_upper(d, specs, table)
-    if config.kind == "best":
-        parameters = {**winner.parameters, "winner": winner.kind}
-    else:
-        parameters = (specs[0] if winner.kind == "erasure"
-                      else winner).parameters
-    return (config.kind, parameters, d, value, "upper",
-            config.solver_tolerance)
+def _pointwise_rows(config, specs, grid, table):
+    """The rows of a multi-spec sweep: the pointwise minimum over specs
+    on the open interval, in one pass over it, and the closed form at the
+    endpoints. `best` names the winning family. A c1_star scan names the
+    winning D; it reports an erasure win as its D=0 spec, whose value is
+    the erasure bound itself."""
+    inner = [d for d in grid if d != 0.0 and d != 1.0]
+    values, winners = compose_best_upper(inner, specs, table)
+    served = zip(values.tolist(), winners)
+    rows = []
+    for d in grid:
+        if d == 0.0 or d == 1.0:
+            value, winner = 1.0 - d, BoundSpec("erasure")
+        else:
+            value, winner = next(served)
+        if config.kind == "best":
+            parameters = {**winner.parameters, "winner": winner.kind}
+        else:
+            parameters = (specs[0] if winner.kind == "erasure"
+                          else winner).parameters
+        rows.append((config.kind, parameters, d, value, "upper",
+                     config.solver_tolerance))
+    return rows
 
 
 def _run_sweep(config):
@@ -347,14 +355,17 @@ def _run_sweep(config):
     table, depth = _open_table(config)
     specs = _plan_specs(config, table, depth)
     if len(specs) > 1:
-        rows = [_pointwise_row(config, specs, d, table) for d in grid]
+        rows = _pointwise_rows(config, specs, grid, table)
+        provenance = sweep_provenance(table, config.solver_tolerance)
     else:
         (spec,) = specs
         curve = sweep_bound(spec, grid, table, jobs=config.jobs)
         rows = [(spec.kind, spec.parameters, d, value, side,
                  spec.solver_tolerance)
                 for (d, value, side) in curve.points]
+        provenance = curve.provenance
     _write_output(config, _csv(rows))
+    print(f"provenance: {provenance}", file=sys.stderr)
     return 0
 
 

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delcap.bounds
 from delcap import (BoundSpec, ParameterError, SolverNotConvergedError,
@@ -345,6 +348,111 @@ class TestDispatch:
         with pytest.raises(ParameterError):
             compose_best_upper(
                 0.3, [BoundSpec("lower_opt", {"L": 3})], default_table)
+
+
+def _c1_star_tail_by_formula(D, l_max, d, table, tail_cut=None):
+    # the paper's series, one d at a time, in the scalar weights
+    term = (alpha_tilde(l_max, D, table, "lower") * (1.0 - D / (l_max + 1))
+            * binomial_weight_tilde(l_max + 1, D, d).value)
+    if tail_cut is None:
+        return term / d
+    tail = 0.0
+    for _ in range(l_max + 1, tail_cut + 1):
+        tail += term
+        term *= 1.0 - d
+    return tail
+
+
+def _c1_star_by_formula(D, l_max, d, table, tail_cut=None):
+    populated = 0.0
+    for L in range(D, l_max + 1):
+        populated += (alpha_tilde(L, D, table, "lower")
+                      * binomial_weight_tilde(L, D, d).value)
+    series = populated + _c1_star_tail_by_formula(D, l_max, d, table,
+                                                  tail_cut)
+    return 1.0 - d - d * d / (D + 1) * series
+
+
+def _c2_star_by_formula(R, l_max, d, table):
+    top = alpha(l_max, R, table, "lower")
+    total = 0.0
+    for L in range(R, l_max + 1):
+        total += ((top - alpha(L, R, table, "lower"))
+                  * binomial_weight(L, R, d).value)
+    keep = 1.0 - d
+    return keep * keep / (R + 1) * total + keep * (1.0 - top / (R + 1))
+
+
+def _c3_by_formula(L, d, table):
+    gap = 0.0
+    for R in range(L + 1):
+        gap += alpha(L, R, table, "lower") * binomial_weight(L, R, d).value
+    return 1.0 - d - gap / L
+
+
+_open_grids = st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                 exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=40)
+
+
+class TestGridExactness:
+    """Over an array of d the table-backed bounds equal, bit for bit, the
+    paper's formula evaluated one d at a time."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(grid=_open_grids, D=st.integers(0, 12), data=st.data())
+    def test_c1_star(self, default_table, grid, D, data):
+        l_max = data.draw(st.integers(
+            D, resolve_l_max(default_table, "c1_star", D=D)))
+        for tail_cut in (None, 50):
+            for bound, formula in ((bound_c1_star, _c1_star_by_formula),
+                                   (c1_star_tail, _c1_star_tail_by_formula)):
+                values = bound(D, l_max, np.array(grid), default_table,
+                               tail_cut=tail_cut)
+                assert values.tolist() == [
+                    formula(D, l_max, d, default_table, tail_cut)
+                    for d in grid]
+
+    @settings(deadline=None, max_examples=40)
+    @given(grid=_open_grids, R=st.integers(0, 12), data=st.data())
+    def test_c2_star(self, default_table, grid, R, data):
+        l_max = data.draw(st.integers(R, 12))
+        values = bound_c2_star(R, l_max, np.array(grid), default_table)
+        assert values.tolist() == [
+            _c2_star_by_formula(R, l_max, d, default_table) for d in grid]
+
+    @settings(deadline=None, max_examples=40)
+    @given(grid=_open_grids, L=st.integers(1, 12))
+    def test_c3(self, default_table, grid, L):
+        values = bound_c3(L, np.array(grid), default_table)
+        assert values.tolist() == [_c3_by_formula(L, d, default_table)
+                                   for d in grid]
+
+    def test_one_number_in_one_float_out(self, default_table):
+        for value in (bound_c3(4, 0.3, default_table),
+                      bound_c2_star(4, 12, 0.3, default_table),
+                      bound_c1_star(2, 12, 0.3, default_table),
+                      evaluate_bound(BoundSpec("erasure"), 0.3,
+                                     default_table),
+                      compose_best_upper(0.3, [BoundSpec("c3", {"L": 4})],
+                                         default_table)[0]):
+            assert type(value) is float
+
+    @settings(deadline=None, max_examples=20)
+    @given(grid=_open_grids)
+    def test_compose_keeps_erasure_on_ties(self, default_table, grid):
+        # c1_star at D=0 is the erasure bound itself at every d: the
+        # tie goes to erasure over a grid as it does one d at a time
+        specs = [BoundSpec("c1_star", {"D": 0, "l_max": 12}),
+                 BoundSpec("c3", {"L": 6})]
+        values, winners = compose_best_upper(np.array(grid), specs,
+                                             default_table)
+        for d, value, winner in zip(grid, values.tolist(), winners):
+            assert winner.kind != "c1_star"
+            assert (value, winner) == compose_best_upper(d, specs,
+                                                         default_table)
+        assert [w.kind for w in compose_best_upper(
+            grid, specs[:1], default_table)[1]] == ["erasure"] * len(grid)
 
 
 class TestGridAndSweep:

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 import delcap
-from delcap import (CoefficientTable, TableEntry, bound_c2_star, bound_c3,
-                    load_table, populate_table, resolve_l_max, save_table)
+from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
+                    TableEntry, bound_c2_star, bound_c3, compose_best_upper,
+                    d_grid, load_table, populate_table, resolve_l_max,
+                    save_table)
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, main
 
 from reference_values import F_REFERENCE, bracket_matches_reference
@@ -229,6 +231,54 @@ class TestSweepCommand:
         assert row[0] == "best"
         assert "winner=c2_star" in row[1]
         assert float(row[3]) < 1.0 - 0.8
+
+    def test_best_rows_match_composition_one_d_at_a_time(
+            self, capsys, table_cache_path, default_table):
+        # table-backed specs, one c4 spec and both closed-form endpoints
+        code, out, _ = run_cli(capsys, "sweep", "--kind", "best",
+                               "--d-grid", "0:1:0.125", "--L", "3",
+                               "--cache", table_cache_path)
+        assert code == 0
+        specs = ([BoundSpec("c1_star", {"D": D, "l_max": resolve_l_max(
+                     default_table, "c1_star", D=D)}) for D in range(13)]
+                 + [BoundSpec("c2_star", {"R": R, "l_max": resolve_l_max(
+                     default_table, "c2_star", R=R)}) for R in range(13)]
+                 + [BoundSpec("c3", {"L": L}) for L in range(1, 13)]
+                 + [BoundSpec("c4", {"L": 3})])
+        lines = [CSV_HEADER]
+        for d in d_grid(0.0, 1.0, 0.125):
+            if d in (0.0, 1.0):
+                value, winner = 1.0 - d, BoundSpec("erasure")
+            else:
+                value, winner = compose_best_upper(d, specs, default_table)
+            params = {**winner.parameters, "winner": winner.kind}
+            lines.append(
+                f"best,{';'.join(f'{k}={params[k]}' for k in sorted(params))},"
+                f"{d!r},{value!r},upper,{DEFAULT_TOLERANCE!r}")
+        assert out == "\n".join(lines) + "\n"
+        assert "np.float64(" not in out
+
+    @pytest.mark.parametrize("family", [
+        ("--kind", "c3", "--L", "4"),
+        ("--kind", "c4", "--L", "2"),
+        ("--kind", "c1_star"),
+        ("--kind", "best"),
+    ], ids=["c3", "c4", "c1_star_scan", "best"])
+    def test_prints_provenance_to_stderr(self, capsys, tmp_path,
+                                         table_cache_path, family):
+        args = ("sweep", *family, "--d-grid", "0.25:0.75:0.25",
+                "--cache", table_cache_path)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err == (f"provenance: table l_max=12 tolerance="
+                       f"{DEFAULT_TOLERANCE!r}; solver_tolerance="
+                       f"{DEFAULT_TOLERANCE!r}\n")
+        assert "provenance" not in out
+        target = tmp_path / "sweep.csv"
+        code, _, err_to_file = run_cli(capsys, *args, "--out", str(target))
+        assert code == 0
+        assert err_to_file == err
+        assert target.read_text() == out
 
     def test_solver_failure_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--kind", "c4", "--L", "3",
