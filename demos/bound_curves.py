@@ -2,12 +2,15 @@
 """Sweep the upper-bound families over d and compose the pointwise best.
 
 Writes the same CSV schema as the command line tool, one row per family
-per d plus a `best` row naming the winner. Each family, and the pointwise
-best, is evaluated once over the whole grid. Redirect to a file to plot.
+per d plus a `best` row naming the winner. Each family is evaluated once
+over the whole grid, and c4 is solved once per d. Redirect to a file to
+plot.
 """
 
 import argparse
 import sys
+
+import numpy as np
 
 from delcap import (BoundSpec, build_default_table, compose_best_upper,
                     d_grid, evaluate_bound)
@@ -29,8 +32,16 @@ def main():
     ]
 
     grid = d_grid(args.step, 1.0 - args.step, args.step)
-    curves = [evaluate_bound(spec, grid, table).tolist() for spec in specs]
-    best, winners = compose_best_upper(grid, specs, table)
+    curves = [evaluate_bound(spec, grid, table) for spec in specs]
+    # compose the table-backed families, then let c4, the last spec, win
+    # where it is strictly below them, as compose_best_upper would, so
+    # each c4 point is solved once
+    best, winners = compose_best_upper(grid, specs[:-1], table)
+    c4_wins = curves[-1] < best
+    best = np.where(c4_wins, curves[-1], best)
+    winners = [specs[-1] if win else winner
+               for win, winner in zip(c4_wins.tolist(), winners)]
+    curves = [curve.tolist() for curve in curves]
 
     print("kind,params,d,value,side,tolerance")
     for i, d in enumerate(grid):

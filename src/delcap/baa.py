@@ -33,10 +33,23 @@ cannot lower the mutual information; it is kept and leaves λ as it is.
 Every reported bracket therefore comes from one kept law. One iteration
 is one divergence evaluation, a rejected trial included, so
 max_iterations caps the matrix products.
+
+A stack of channels that share their counts C and differ in their
+column weights and row term (the binomial channels of one block length
+at several d) is solved in one pass. Each channel keeps its own law,
+steps and bracket and takes exactly the steps it would take alone, with
+the same arithmetic, so its result is bit-identical to its own solve.
+Only the work is shared: each step exponentiates and normalises the
+open laws together and evaluates all their divergences with one sparse
+product per direction, a matrix with one column per law, whose columns
+sum in the same order as the product with one law. A channel leaves the
+stack when its bracket closes or its iterations run out; the last one
+open runs with the single-law products. Laws never pass from one
+channel to another, so no channel's result depends on the others.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,45 +82,53 @@ class BaaResult:
 
 
 def _divergences(channel, dist):
-    """KL(P(.|x) || q) in nats for every x, with q induced by dist."""
-    w = channel._column_weights  # the channel is _matrix diag(w)
-    q = w * (channel._matrix_t @ dist)
-    log_q = np.log(np.maximum(q, _FLOOR))
-    return channel._row_plogp - channel._matrix @ (w * log_q)
+    """KL(P(.|x) || q) in nats for every x, with q induced by dist.
 
-
-def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
-                   max_iterations=DEFAULT_MAX_ITERATIONS, on_iteration=None):
-    """Bracket the capacity of a SparseChannel to the given width in bits.
-
-    Deterministic: identical inputs give a bit-identical result. Slow
-    convergence never raises; the partial bracket comes back flagged with
-    converged=False and callers decide how to propagate that.
-    One iteration is one divergence evaluation of a trial law: the
-    over-relaxed step from the kept law, each input scaled by its own λ
-    along its centred gap D − I, or after a rejected trial the plain step
-    (see the module docstring). The bracket and the returned
-    input_distribution always belong to the same kept law, whose lower
-    estimate never drops. on_iteration(iteration, lower_bits, upper_bits)
-    is invoked once per iteration with the kept bracket when supplied,
-    mainly so tests can watch monotonicity.
-    The iteration starts from the law proportional to
-    channel.input_sizes, uniform on a SparseChannel; on an OrbitChannel,
-    input_distribution holds the mass of each input orbit, not of its
-    representative.
+    On a stack, dist holds one law per channel in its rows, and so does
+    the result. Both products then take one column per law, and each
+    column sums in the same order as the product with that law alone.
     """
-    if tolerance <= 0.0:
-        raise ParameterError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ParameterError("max_iterations must be at least 1")
-    tol_nats = tolerance * LN2
-    trial = np.log(channel.input_sizes)  # log-weights of the start law
-    step = np.full(channel.input_count, _STEP_START)
+    w = channel._column_weights  # the channel is _matrix diag(w)
+    if dist.ndim == 1:  # the transposes cost a few % of a small cell's step
+        q = w * (channel._matrix_t @ dist)
+        log_q = np.log(np.maximum(q, _FLOOR))
+        return channel._row_plogp - channel._matrix @ (w * log_q)
+    q = w * (channel._matrix_t @ dist.T).T
+    log_q = np.log(np.maximum(q, _FLOOR))
+    return channel._row_plogp - (channel._matrix @ (w * log_q).T).T
+
+
+@dataclass(frozen=True)
+class StackResult:
+    """The brackets of a stack of channels, one BaaResult per channel in
+    stack order, and their totals: iterations summed over the channels,
+    the widest width, and whether every channel converged."""
+
+    columns: tuple
+
+    @property
+    def iterations(self):
+        return sum(column.iterations for column in self.columns)
+
+    @property
+    def tolerance_achieved(self):
+        return max(column.tolerance_achieved for column in self.columns)
+
+    @property
+    def converged(self):
+        return all(column.converged for column in self.columns)
+
+
+def _iterate(start, tol_nats, max_iterations, on_iteration):
+    """The iteration of one law, as a generator: it yields the
+    log-weights of each trial law, is sent back (t, D), the normalised
+    trial law and its divergences, and returns the BaaResult once the
+    bracket closes or the iterations run out."""
+    trial = start  # log-weights of the start law
+    step = np.full(len(start), _STEP_START)
     plain = True  # take the trial as is: the start law, or a fallback
     for it in range(1, max_iterations + 1):
-        w = np.exp(trial)
-        t = w / w.sum()
-        t_div = _divergences(channel, t)
+        t, t_div = yield trial
         t_lower = float(t @ t_div)
         if plain or t_lower >= lower:
             t_gap = t_div - t_lower
@@ -134,8 +155,96 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
                      (upper - lower) / LN2, False)
 
 
+def _solve_one(channel, column, trial):
+    """Drive one law's iteration on a single channel, from its pending
+    trial to its result."""
+    try:
+        while True:
+            w = np.exp(trial)
+            t = w / w.sum()
+            trial = column.send((t, _divergences(channel, t)))
+    except StopIteration as done:
+        return done.value
+
+
+def _rows(stack, index):
+    """The channels of a stack at index: a list keeps a stack, one
+    integer gives that channel alone."""
+    return replace(stack, _column_weights=stack._column_weights[index],
+                   _row_plogp=stack._row_plogp[index])
+
+
+def _solve_stack(stack, columns):
+    """Drive one iteration per channel of a stack. Each step normalises
+    the open laws and evaluates their divergences together; a channel
+    leaves the stack when its iteration returns, and the last one open
+    runs on its own, with the single-law products."""
+    results = [None] * len(columns)
+    open_ = list(range(len(columns)))
+    trials = [next(column) for column in columns]
+    rows = stack
+    while len(open_) > 1:
+        w = np.exp(np.array(trials))
+        t = w / w.sum(axis=1, keepdims=True)
+        t_div = _divergences(rows, t)
+        still, trials = [], []
+        for j, i in enumerate(open_):
+            try:
+                trials.append(columns[i].send((t[j], t_div[j])))
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        if len(still) < len(open_):
+            open_ = still
+            rows = _rows(stack, open_)
+    for i, trial in zip(open_, trials):
+        results[i] = _solve_one(_rows(stack, i), columns[i], trial)
+    return StackResult(tuple(results))
+
+
+def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
+                   max_iterations=DEFAULT_MAX_ITERATIONS, on_iteration=None):
+    """Bracket the capacity of a SparseChannel to the given width in bits.
+
+    Deterministic: identical inputs give a bit-identical result. Slow
+    convergence never raises; the partial bracket comes back flagged with
+    converged=False and callers decide how to propagate that.
+    One iteration is one divergence evaluation of a trial law: the
+    over-relaxed step from the kept law, each input scaled by its own λ
+    along its centred gap D − I, or after a rejected trial the plain step
+    (see the module docstring). The bracket and the returned
+    input_distribution always belong to the same kept law, whose lower
+    estimate never drops. on_iteration(iteration, lower_bits, upper_bits)
+    is invoked once per iteration with the kept bracket when supplied,
+    mainly so tests can watch monotonicity.
+    The iteration starts from the law proportional to
+    channel.input_sizes, uniform on a SparseChannel; on an OrbitChannel,
+    input_distribution holds the mass of each input orbit, not of its
+    representative.
+
+    On a stack (the OrbitChannel that orbit_stack builds), each channel
+    runs its own iteration, exactly as it would alone: max_iterations
+    caps each one, and on_iteration is invoked for each. The result is
+    a StackResult.
+    """
+    if tolerance <= 0.0:
+        raise ParameterError("tolerance must be positive")
+    if max_iterations < 1:
+        raise ParameterError("max_iterations must be at least 1")
+    tol_nats = tolerance * LN2
+    start = np.log(channel.input_sizes)
+    if channel._row_plogp.ndim == 2:
+        return _solve_stack(channel, [
+            _iterate(start, tol_nats, max_iterations, on_iteration)
+            for _ in channel._row_plogp])
+    column = _iterate(start, tol_nats, max_iterations, on_iteration)
+    return _solve_one(channel, column, next(column))
+
+
 def mutual_information(channel, input_distribution):
-    """I(X;Y) in bits for a given input law, with 0 log 0 = 0."""
+    """I(X;Y) in bits for a given input law, with 0 log 0 = 0. On a
+    stack, the law is taken on every channel in one divergence pass, and
+    the result lists one value per channel."""
     dist = np.asarray(input_distribution, dtype=np.float64)
     if dist.shape != (channel.input_count,):
         raise ParameterError(
@@ -145,4 +254,7 @@ def mutual_information(channel, input_distribution):
         raise ParameterError("distribution entries must be non-negative")
     if abs(float(dist.sum()) - 1.0) > 1e-9:
         raise ParameterError("distribution must sum to 1 within 1e-9")
-    return float(dist @ _divergences(channel, dist)) / LN2
+    if channel._row_plogp.ndim == 1:
+        return float(dist @ _divergences(channel, dist)) / LN2
+    laws = np.tile(dist, (len(channel._row_plogp), 1))
+    return [float(dist @ div) / LN2 for div in _divergences(channel, laws)]

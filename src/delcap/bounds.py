@@ -16,7 +16,7 @@ import numpy as np
 from .baa import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
                   mutual_information, solve_capacity)
 from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP,
-                      build_binomial_deletion_channel, orbit_channel)
+                      build_binomial_deletion_channel, orbit_stack)
 # binomial_weight_tilde has no caller in this module; it stays bound
 # here because bench/tracer.py wraps it at this name
 from .combinatorics import binomial_weight, binomial_weight_tilde
@@ -27,8 +27,6 @@ from .tables import _top_level, alpha, alpha_tilde, closed_form_f
 UPPER_KINDS = ("c1_star", "c2_star", "c3", "c4", "erasure")
 LOWER_KINDS = ("lower_opt", "lower_iud")
 BOUND_KINDS = UPPER_KINDS + LOWER_KINDS
-# kinds that solve a capacity at each d instead of reading the table
-_SOLVED_KINDS = ("c4",) + LOWER_KINDS
 
 DEFAULT_TAIL_CUT = 2000
 
@@ -265,37 +263,48 @@ def bound_c3(L, d, table):
     return _shaped(1.0 - d - gap / L, scalar)
 
 
-def _binomial_orbits(L, d, **limits):
-    """The binomial channel at (L, d), folded onto its input and output
-    orbits under complement and reversal."""
-    return orbit_channel(build_binomial_deletion_channel(L, d, **limits))
+def _binomial_orbits(L, ds, **limits):
+    """The binomial channels at L and each of ds, built one d at a time
+    and folded onto their orbits under complement and reversal as one
+    stack."""
+    return orbit_stack([build_binomial_deletion_channel(L, d, **limits)
+                        for d in ds])
 
 
-def _solve_binomial(what, L, d, solver_tolerance, max_iterations, **limits):
-    """Solve the binomial channel at (L, d) on its orbits; `what` names
-    the bound in the error raised when the bracket does not close."""
-    result = solve_capacity(_binomial_orbits(L, d, **limits),
+def _solve_binomial(what, L, ds, solver_tolerance, max_iterations,
+                    **limits):
+    """Solve the binomial channels at L and each of ds as one stack; one
+    BaaResult per d. `what` names the bound in the error raised for the
+    first d whose bracket does not close."""
+    if not ds:
+        return []
+    result = solve_capacity(_binomial_orbits(L, ds, **limits),
                             solver_tolerance, max_iterations)
-    if not result.converged:
-        raise SolverNotConvergedError(
-            f"{what} solve at L={L}, d={d} stuck at bracket width "
-            f"{result.tolerance_achieved}", result=result)
-    return result
+    for d, column in zip(ds, result.columns):
+        if not column.converged:
+            raise SolverNotConvergedError(
+                f"{what} solve at L={L}, d={d} stuck at bracket width "
+                f"{column.tolerance_achieved}", result=column)
+    return result.columns
 
 
 def bound_c4(L, d, solver_tolerance=DEFAULT_TOLERANCE, *,
              max_iterations=DEFAULT_MAX_ITERATIONS, l_cap=DEFAULT_L_CAP,
              entry_budget=DEFAULT_ENTRY_BUDGET):
     """Upper bound from the per-letter channel that also reveals block
-    boundaries: certified-upper solver estimate over L.
+    boundaries: certified-upper solver estimate over L, at one d or over
+    an array of d, solved as one stack.
 
     The true value never exceeds 1 - d, but the solver's upper estimate
     can poke past it by tolerance/L; the min against the erasure bound
     keeps the certificate without giving anything up.
     """
-    result = _solve_binomial("c4", L, d, solver_tolerance, max_iterations,
-                             l_cap=l_cap, entry_budget=entry_budget)
-    return min(result.capacity_upper / L, 1.0 - d)
+    grid, scalar = _grid(d)
+    ds = grid.values.tolist()
+    results = _solve_binomial("c4", L, ds, solver_tolerance, max_iterations,
+                              l_cap=l_cap, entry_budget=entry_budget)
+    return _shaped(np.array([min(result.capacity_upper / L, 1.0 - x)
+                             for x, result in zip(ds, results)]), scalar)
 
 
 def lower_bound(L, d, distribution_policy="optimized",
@@ -303,32 +312,41 @@ def lower_bound(L, d, distribution_policy="optimized",
                 max_iterations=DEFAULT_MAX_ITERATIONS, l_cap=DEFAULT_L_CAP,
                 entry_budget=DEFAULT_ENTRY_BUDGET):
     """Achievable rate: per-block information minus the boundary
-    overhead, (I + sum_R p(L,R) log2 p(L,R)) / L, clamped at zero.
+    overhead, (I + sum_R p(L,R) log2 p(L,R)) / L, clamped at zero, at
+    one d or over an array of d.
 
-    policy 'optimized' takes the solver's certified-lower estimate;
-    'iud' takes the mutual information of the uniform input, which is
-    achievable outright and needs no iteration. Both work on the
-    channel folded onto orbits, where the uniform input puts mass
-    |o| / 2^L on input orbit o.
+    policy 'optimized' takes the solver's certified-lower estimate, from
+    one stacked solve; 'iud' takes the mutual information of the uniform
+    input, which is achievable outright and needs no iteration: one
+    divergence pass over the stack. Both work on the channels folded
+    onto orbits, where the uniform input puts mass |o| / 2^L on input
+    orbit o.
     """
     if distribution_policy not in ("optimized", "iud"):
         raise ParameterError(
             f"distribution_policy must be 'optimized' or 'iud', "
             f"got {distribution_policy!r}")
+    grid, scalar = _grid(d)
+    ds = grid.values.tolist()
+    limits = dict(l_cap=l_cap, entry_budget=entry_budget)
     if distribution_policy == "optimized":
-        info = _solve_binomial("lower bound", L, d, solver_tolerance,
-                               max_iterations, l_cap=l_cap,
-                               entry_budget=entry_budget).capacity_lower
+        infos = [result.capacity_lower for result in _solve_binomial(
+            "lower bound", L, ds, solver_tolerance, max_iterations,
+            **limits)]
+    elif ds:
+        channel = _binomial_orbits(L, ds, **limits)
+        infos = mutual_information(channel, channel.input_sizes / 2 ** L)
     else:
-        channel = _binomial_orbits(L, d, l_cap=l_cap,
-                                   entry_budget=entry_budget)
-        info = mutual_information(channel, channel.input_sizes / 2 ** L)
-    overhead = 0.0
-    for R in range(L + 1):
-        w = binomial_weight(L, R, d).value
-        if w > 0.0:
-            overhead += w * math.log2(w)
-    return max(0.0, (info + overhead) / L)
+        infos = []
+    values = []
+    for x, info in zip(ds, infos):
+        overhead = 0.0
+        for R in range(L + 1):
+            w = binomial_weight(L, R, x).value
+            if w > 0.0:
+                overhead += w * math.log2(w)
+        values.append(max(0.0, (info + overhead) / L))
+    return _shaped(np.array(values), scalar)
 
 
 def limit_small_d_c3(L, table):
@@ -355,12 +373,14 @@ def limit_large_d_c2(R, l_max, table):
 
 
 def evaluate_bound(spec, d, table):
-    """Dispatch one spec at one d or over an array of d. The table-backed
-    kinds take the whole array in one pass; c4 and the lower bounds solve
-    once per d, with the iteration and size budgets of the table's solver
-    settings."""
+    """Dispatch one spec at one d or over an array of d. Every kind takes
+    the whole array in one pass: the table-backed kinds read each cell
+    once, and c4 and the lower bounds solve the grid as one stack, with
+    the iteration and size budgets of the table's solver settings."""
     grid, scalar = _grid(d)
     p = spec.parameters
+    limits = dict(max_iterations=table.max_iterations, l_cap=table.l_cap,
+                  entry_budget=table.entry_budget)
     if spec.kind == "erasure":
         _check_probability(grid.values, open_interval=False)
         return _shaped(1.0 - grid.values, scalar)
@@ -371,22 +391,13 @@ def evaluate_bound(spec, d, table):
         values = bound_c2_star(p["R"], p["l_max"], grid, table)
     elif spec.kind == "c3":
         values = bound_c3(p["L"], grid, table)
+    elif spec.kind == "c4":
+        values = bound_c4(p["L"], grid, spec.solver_tolerance, **limits)
     else:
-        values = np.array([_solve_bound(spec, x, table)
-                           for x in grid.values.tolist()])
+        policy = "optimized" if spec.kind == "lower_opt" else "iud"
+        values = lower_bound(p["L"], grid, policy, spec.solver_tolerance,
+                             **limits)
     return _shaped(values, scalar)
-
-
-def _solve_bound(spec, d, table):
-    """A c4 or lower-bound spec at one d."""
-    limits = dict(max_iterations=table.max_iterations, l_cap=table.l_cap,
-                  entry_budget=table.entry_budget)
-    if spec.kind == "c4":
-        return bound_c4(spec.parameters["L"], d, spec.solver_tolerance,
-                        **limits)
-    policy = "optimized" if spec.kind == "lower_opt" else "iud"
-    return lower_bound(spec.parameters["L"], d, policy,
-                       spec.solver_tolerance, **limits)
 
 
 def compose_best_upper(d, specs, table):
@@ -435,22 +446,14 @@ def sweep_provenance(table, solver_tolerance):
             f" solver_tolerance={solver_tolerance!r}")
 
 
-def sweep_bound(spec, grid, table, jobs=1):
+def sweep_bound(spec, grid, table):
     """One spec over a d-grid, in grid order. The endpoints d=0 and d=1
     come from the closed forms (capacity is exactly 1 and 0 there), so
     solver-backed kinds only ever run on the open interval. The rest of
-    the grid is one evaluate_bound call, except that jobs > 1 spreads
-    the per-d solves of c4 and the lower bounds over that many threads;
-    the table-backed kinds ignore it."""
+    the grid is one evaluate_bound call: c4 and the lower bounds solve it
+    as one stack."""
     inner = [d for d in grid if d != 0.0 and d != 1.0]
-    if jobs > 1 and len(inner) > 1 and spec.kind in _SOLVED_KINDS:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(
-                lambda d: evaluate_bound(spec, d, table), inner))
-    else:
-        values = evaluate_bound(spec, inner, table).tolist()
-    served = iter(values)
+    served = iter(evaluate_bound(spec, inner, table).tolist())
     points = [(d, 1.0 - d if d == 0.0 or d == 1.0 else next(served),
                spec.side) for d in grid]
     return BoundCurve(spec, points,

@@ -30,10 +30,11 @@ certifies the same capacity.
 Both families fold alike (_fold_counts): integer embedding counts C on
 the orbits, times one weight per output length, M = C diag(w), which
 the solver applies to vectors. The binomial skeleton is folded once per
-L (_binomial_orbit_store) and shared by every d. A binomial
-SparseChannel carries it with its L + 1 length weights and forms probs
-on first read (row, dump_channel, validate, a solve on the full
-channel), which orbit_channel never does.
+L (_binomial_orbit_store) and shared by every d; orbit_stack lays the
+weights of several d over it as one stack, which the solver solves in
+one pass. A binomial SparseChannel carries it with its L + 1 length
+weights and forms probs on first read (row, dump_channel, validate, a
+solve on the full channel), which orbit_channel never does.
 """
 
 import math
@@ -314,12 +315,15 @@ class OrbitChannel:
     over the full row of the representative plus sum_O M[o, O] log |O|,
     so the solver's divergences are those of the full channel at each
     representative, for any law that is constant on orbits.
+
+    A stack (orbit_stack) holds several channels on the same C: w and
+    the row term then have one row per channel.
     """
 
     _matrix: sparse.csr_array    # C, exact counts in float64
     _matrix_t: sparse.csr_array  # C transposed, for q = w ⊙ (C^T r)
-    _column_weights: np.ndarray  # (output orbits,) w
-    _row_plogp: np.ndarray       # (input orbits,) row term, in nats
+    _column_weights: np.ndarray  # ([channels,] output orbits) w
+    _row_plogp: np.ndarray       # ([channels,] input orbits) row term, nats
     representatives: np.ndarray  # (input orbits,) smallest member of each
     input_sizes: np.ndarray      # (input orbits,) members per input orbit
     output_sizes: np.ndarray     # (output orbits,) members per output orbit
@@ -382,6 +386,23 @@ def _binomial_orbit_store(L):
     return _fold_counts(L, *_binomial_structure(L))
 
 
+def _weigh(L, folded, w):
+    """The OrbitChannel of folded counts under length weights w: one
+    row of L + 1 weights, or one row per channel of a stack."""
+    (counts, counts_t, by_length, column_lengths, representatives,
+     input_sizes, output_sizes) = folded
+    # the row term: H @ w plus sum_r (embeddings of length r) w_r log w_r
+    w_log_w = w * np.log(np.where(w > 0.0, w, 1.0))  # 0 log 0 = 0
+    embeddings = np.array([math.comb(L, r) for r in range(L + 1)],
+                          dtype=np.float64)
+    row_term = np.array([by_length @ w_r + embeddings @ w_log_w_r
+                         for w_r, w_log_w_r in zip(np.atleast_2d(w),
+                                                   np.atleast_2d(w_log_w))])
+    return OrbitChannel(counts, counts_t, w[..., column_lengths],
+                        row_term.reshape(w.shape[:-1] + (-1,)),
+                        representatives, input_sizes, output_sizes)
+
+
 def orbit_channel(channel):
     """Fold a fixed-deletion or binomial SparseChannel onto its orbits
     under complement and reversal (see the module docstring). Its weight
@@ -389,24 +410,29 @@ def orbit_channel(channel):
     counts are folded here uncached (the table solves each cell once),
     and d^(L-r) (1-d)^r for the binomial family."""
     L = channel.input_length
-    if channel.length_weights is None:
-        w = np.zeros(L + 1)
-        w[channel.output_lengths[0]] = 1.0 / channel.exact_denominator
-        folded = _fold_counts(L, channel.indptr, channel.indices,
-                              channel.exact_numerators,
-                              channel.output_lengths, channel.output_values)
-    else:
-        w = channel.length_weights
-        folded = _binomial_orbit_store(L)
-    (counts, counts_t, by_length, column_lengths, representatives,
-     input_sizes, output_sizes) = folded
-    # the row term: H @ w plus sum_r (embeddings of length r) w_r log w_r
-    w_log_w = w * np.log(np.where(w > 0.0, w, 1.0))  # 0 log 0 = 0
-    embeddings = np.array([math.comb(L, r) for r in range(L + 1)],
-                          dtype=np.float64)
-    return OrbitChannel(counts, counts_t, w[column_lengths],
-                        by_length @ w + embeddings @ w_log_w,
-                        representatives, input_sizes, output_sizes)
+    if channel.length_weights is not None:
+        return _weigh(L, _binomial_orbit_store(L), channel.length_weights)
+    w = np.zeros(L + 1)
+    w[channel.output_lengths[0]] = 1.0 / channel.exact_denominator
+    return _weigh(L, _fold_counts(L, channel.indptr, channel.indices,
+                                  channel.exact_numerators,
+                                  channel.output_lengths,
+                                  channel.output_values), w)
+
+
+def orbit_stack(channels):
+    """Fold binomial SparseChannels of one block length onto their orbits
+    as one stack: the OrbitChannel that shares their counts C, with one
+    row of column weights (channels × output orbits) and one row of the
+    row term (channels × input orbits) per channel, in the given order.
+    solve_capacity solves the stack in one pass."""
+    L = channels[0].input_length
+    for channel in channels:
+        if channel.length_weights is None or channel.input_length != L:
+            raise ParameterError(
+                "a stack takes binomial channels of one block length")
+    return _weigh(L, _binomial_orbit_store(L),
+                  np.array([channel.length_weights for channel in channels]))
 
 
 def dump_channel(channel, path):

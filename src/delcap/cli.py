@@ -111,10 +111,10 @@ def build_parser():
                              " (bits)")
     common.add_argument("--max-iter", dest="max_iterations", type=int,
                         default=DEFAULT_MAX_ITERATIONS,
-                        help="iteration ceiling per capacity solve; one"
-                             " iteration is one divergence evaluation of a"
-                             " trial law, a rejected over-relaxed step"
-                             " included")
+                        help="iteration ceiling per capacity solve, and"
+                             " per d of a stacked sweep; one iteration is one"
+                             " divergence evaluation of a trial law, a"
+                             " rejected over-relaxed step included")
     common.add_argument("--entry-budget", dest="entry_budget", type=int,
                         default=DEFAULT_ENTRY_BUDGET,
                         help="refuse channel builds above this many matrix"
@@ -122,11 +122,10 @@ def build_parser():
     common.add_argument("--l-max", dest="l_max", type=int,
                         help="largest block length served from the table")
     common.add_argument("--jobs", type=_worker_count, default=1,
-                        help="worker threads for table, verify and the"
-                             " c4 and lower sweeps; the table-backed sweeps"
-                             " (c1_star, c2_star, c3, erasure, best) make"
-                             " one pass over the grid, and they, bound and"
-                             " limits ignore it")
+                        help="worker threads for table and verify;"
+                             " sweeps make one pass over the grid (c4 and"
+                             " lower solve it as one stack), and they,"
+                             " bound and limits ignore it")
     common.add_argument("--allow-long", dest="allow_long",
                         action="store_true",
                         help=f"permit depths past {LONG_RUN_LIMIT} (seconds"
@@ -359,7 +358,7 @@ def _run_sweep(config):
         provenance = sweep_provenance(table, config.solver_tolerance)
     else:
         (spec,) = specs
-        curve = sweep_bound(spec, grid, table, jobs=config.jobs)
+        curve = sweep_bound(spec, grid, table)
         rows = [(spec.kind, spec.parameters, d, value, side,
                  spec.solver_tolerance)
                 for (d, value, side) in curve.points]

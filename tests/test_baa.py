@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delcap.baa
 from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
                     build_fixed_deletion_channel, mutual_information,
                     solve_capacity)
-from delcap.channel import SparseChannel, orbit_channel
+from delcap.channel import SparseChannel, orbit_channel, orbit_stack
 
 from reference_values import F_REFERENCE, bracket_matches_reference
 
@@ -271,6 +271,75 @@ class TestOrbitSolve:
         for L in range(11):
             for R in range(L + 1):
                 assert_orbit_solve_agrees(build_fixed_deletion_channel(L, R))
+
+
+def assert_same_result(column, alone):
+    assert column.capacity_lower == alone.capacity_lower
+    assert column.capacity_upper == alone.capacity_upper
+    assert column.iterations == alone.iterations
+    assert column.tolerance_achieved == alone.tolerance_achieved
+    assert column.converged == alone.converged
+    assert np.array_equal(column.input_distribution, alone.input_distribution)
+
+
+class TestStackedSolve:
+    """Binomial channels of one block length, stacked on their shared
+    counts, are solved in one pass; each must get the result it gets
+    alone, bit for bit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 9),
+           st.lists(st.sampled_from([1e-200, 0.05, 0.3, 0.5, 0.7, 0.95])
+                    | st.floats(0.001, 0.999), min_size=1, max_size=6),
+           st.floats(1e-4, 0.05),
+           st.sampled_from([20000, 1, 3, 10, 30]))
+    # (8, 0.7) rejects its over-relaxed trials at evaluations 9, 22 and 36
+    @example(8, [0.7, 0.3, 0.7, 1e-200], 5e-3, 20000)
+    # 0.1 closes after 5 evaluations and 0.5 after 24; 0.7 hits the cap
+    @example(8, [0.1, 0.7, 0.5], 5e-3, 30)
+    def test_stack_equals_each_channel_alone(self, L, ds, tolerance,
+                                             max_iterations):
+        channels = [build_binomial_deletion_channel(L, d) for d in ds]
+        stacked = solve_capacity(orbit_stack(channels), tolerance,
+                                 max_iterations)
+        assert len(stacked.columns) == len(ds)
+        for channel, column in zip(channels, stacked.columns):
+            assert_same_result(column, solve_capacity(
+                orbit_channel(channel), tolerance, max_iterations))
+        assert stacked.iterations == sum(
+            column.iterations for column in stacked.columns)
+        assert stacked.tolerance_achieved == max(
+            column.tolerance_achieved for column in stacked.columns)
+        assert stacked.converged == all(
+            column.converged for column in stacked.columns)
+
+    def test_one_channel_at_the_cap_while_the_others_close(self):
+        ds = (0.1, 0.7, 0.5)
+        stacked = solve_capacity(orbit_stack(
+            [build_binomial_deletion_channel(8, d) for d in ds]),
+            max_iterations=30)
+        assert [c.iterations for c in stacked.columns] == [5, 30, 24]
+        assert [c.converged for c in stacked.columns] == [True, False, True]
+        # the totals are plain Python scalars, as a trace record needs
+        assert type(stacked.iterations) is int and stacked.iterations == 59
+        assert type(stacked.tolerance_achieved) is float
+        assert stacked.converged is False
+
+    def test_uniform_information_in_one_pass(self):
+        ds = [0.1, 1e-200, 0.6, 0.1]
+        channels = [build_binomial_deletion_channel(6, d) for d in ds]
+        stack = orbit_stack(channels)
+        law = stack.input_sizes / 2 ** 6
+        alone = [mutual_information(orbit_channel(c), law) for c in channels]
+        assert mutual_information(stack, law) == alone
+
+    def test_stack_rejects_mixed_channels(self):
+        with pytest.raises(ParameterError):
+            orbit_stack([build_binomial_deletion_channel(4, 0.5),
+                         build_binomial_deletion_channel(5, 0.5)])
+        with pytest.raises(ParameterError):
+            orbit_stack([build_binomial_deletion_channel(2, 0.5),
+                         build_fixed_deletion_channel(2, 1)])
 
 
 class TestValidation:

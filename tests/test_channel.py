@@ -309,7 +309,7 @@ class TestOrbitChannel:
 
         monkeypatch.setattr(delcap.bounds, "build_binomial_deletion_channel",
                             keep)
-        delcap.bounds._binomial_orbits(12, 0.3)
+        delcap.bounds._binomial_orbits(12, [0.3])
         assert len(built) == 1 and "probs" not in vars(built[0])
         # read on demand, they are the counts times the length weights
         assert built[0].probs[0] == 0.3 ** 12

@@ -285,6 +285,12 @@ class TestSweepCommand:
                                "--d-grid", "0.5:0.5:0.1", "--max-iter", "2")
         assert code == 3
         assert "stuck" in err
+        # a stacked sweep names its first stuck d, as the per-d solves did
+        code, out, err = run_cli(capsys, "sweep", "--kind", "c4", "--L", "3",
+                                 "--d-grid", "0.3:0.7:0.2", "--max-iter", "2")
+        assert code == 3 and out == ""
+        assert err == ("error: c4 solve at L=3, d=0.3 stuck at bracket width"
+                       " 0.038477750198926276\n")
 
     def test_depth_gate_on_block_length(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--kind", "c4", "--L", "15",
