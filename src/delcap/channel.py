@@ -10,11 +10,12 @@ empty string included.
 
 Transition rows are stored CSR-style over integer ids; labels stay
 implicit until asked for. Counts come from one recursion over the leading
-input bit, which builds the sparse count block (l, r) from the blocks
-(l-1, r-1) and (l-1, r) without ever forming a dense matrix. The binomial
-family reuses it: its count skeleton is the fixed-deletion blocks
-(L, 0), ..., (L, L) of one full walk stacked side by side, and d only
-weights block r by d^(L-r) (1-d)^r.
+input bit, which builds the sparse int32 count block (l, r) from the
+blocks (l-1, r-1) and (l-1, r) without ever forming a dense matrix; one
+walk (count_blocks) serves a list of cells, such as a whole table build.
+The binomial family's count skeleton is the blocks (L, 0), ..., (L, L)
+of one walk stacked side by side, and d only weights block r by
+d^(L-r) (1-d)^r.
 
 Deleting bits commutes with complementing them and with reversing their
 order, so both families map the orbit of an input under that 4-element
@@ -32,9 +33,9 @@ the orbits, times one weight per output length, M = C diag(w), which
 the solver applies to vectors. The binomial skeleton is folded once per
 L (_binomial_orbit_store) and shared by every d; orbit_stack lays the
 weights of several d over it as one stack, which the solver solves in
-one pass. A binomial SparseChannel carries it with its L + 1 length
-weights and forms probs on first read (row, dump_channel, validate, a
-solve on the full channel), which orbit_channel never does.
+one pass. A SparseChannel of either family holds integer counts and
+forms probs on first read (row, dump_channel, validate, a solve on the
+full channel), which orbit_channel never does.
 """
 
 import math
@@ -74,10 +75,13 @@ class SparseChannel:
 
     def __getattr__(self, name):
         # normal lookup fails only for probs that are not formed yet
-        if name != "probs" or self.length_weights is None:
+        if name != "probs":
             raise AttributeError(name)
-        counts = _binomial_structure(self.input_length)[2]
-        probs = counts * self.length_weights[self.output_lengths[self.indices]]
+        if self.length_weights is None:  # fixed family: exact rationals
+            probs = self.exact_numerators / self.exact_denominator
+        else:
+            probs = (_binomial_structure(self.input_length)[2]
+                     * self.length_weights[self.output_lengths[self.indices]])
         object.__setattr__(self, "probs", probs)
         return probs
 
@@ -103,12 +107,6 @@ class SparseChannel:
 
     def output_label(self, j):
         return BitString(int(self.output_values[j]), int(self.output_lengths[j]))
-
-    def input_labels(self):
-        return [self.input_label(i) for i in range(self.input_count)]
-
-    def output_labels(self):
-        return [self.output_label(j) for j in range(self.output_count)]
 
     def row(self, i):
         """Transitions of input i as (output_id, probability) pairs."""
@@ -167,83 +165,93 @@ def _stack_twice(block, shift, width):
         shape=(2 * block.shape[0], width))
 
 
-def _count_blocks(L, r_lo, r_hi):
-    """Embedding-count blocks {r: (L, r)}, r_lo <= r <= r_hi ascending, as
-    canonical CSR.
+def _grow(level, l, r):
+    """Block (l, r) from level l-1, dropping block r-1, read by no later r."""
+    halves = []
+    if r > 0:
+        halves.append(_stack_twice(level.pop(r - 1), 1 << (r - 1), 1 << r))
+    if r < l:
+        halves.append(_stack_twice(level[r], 0, 1 << r))
+    return sum(halves[1:], halves[0])
+
+
+def count_blocks(cells):
+    """Embedding-count blocks of the given (L, R) cells as canonical int32
+    CSR, yielded as (L, R, block) in ascending order from one walk.
 
     Splitting off the leading bit of the input either consumes the leading
     output bit (when they match) or is deleted, which gives
     count(a.A, b.B) = [a == b] count(A, B) + count(A, b.B). So block (l, r)
     is [P; P with columns + 2^(r-1)] + [S; S], with P = block (l-1, r-1)
     and S = block (l-1, r); each half is concatenated from its CSR arrays
-    and the sparse sum stays canonical. Level l keeps only the r band that
-    can still reach [r_lo, r_hi].
+    and the sparse sum stays canonical. Level l builds, in ascending r,
+    the blocks (l, r) that a cell (L, R) with L >= l reaches, that is
+    0 <= R - r <= L - l, and keeps those that a cell past l reaches.
     """
+    cells = sorted(set(cells))
     # int32 holds every count C(l, r) <= C(33, 16), far past any buildable l
-    blocks = {0: sparse.csr_array(np.ones((1, 1), dtype=np.int32))}
-    for l in range(1, L + 1):
+    level = {0: sparse.csr_array(np.ones((1, 1), dtype=np.int32))}
+    for l in range(max((L for L, _ in cells), default=-1) + 1):
+        # r -> whether a cell past level l reaches (l, r): those cells
+        # come last in sorted order, so their True wins
+        band = {r: L > l for L, R in cells if L >= l
+                for r in range(max(0, R - (L - l)), min(l, R) + 1)}
         nxt = {}
-        for r in range(max(0, r_lo - (L - l)), min(l, r_hi) + 1):
-            halves = []
-            if r > 0:
-                halves.append(_stack_twice(blocks[r - 1], 1 << (r - 1), 1 << r))
-            if r < l:
-                halves.append(_stack_twice(blocks[r], 0, 1 << r))
-            nxt[r] = sum(halves[1:], halves[0])
-        blocks = nxt
-    return blocks
+        for r in sorted(band):
+            block = _grow(level, l, r) if l else level[0]
+            if band[r]:
+                nxt[r] = block
+            if (l, r) in cells:
+                yield l, r, block
+            del block  # the next block is built without this one
+        level = nxt
 
 
-def _check_block_params(L, R, l_cap):
+def _check_fixed_cell(L, R, l_cap, entry_budget):
     if L < 0 or R < 0 or R > L:
         raise ParameterError(f"need 0 <= R <= L, got L={L}, R={R}")
     if L > l_cap:
         raise ResourceLimitError(f"L={L} beyond the block-length cap {l_cap}")
-
-
-def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
-                                 entry_budget=DEFAULT_ENTRY_BUDGET):
-    """Channel that deletes exactly L - R bits, uniformly over patterns.
-
-    P(b | a) = embedding_count(a, b) / C(L, L - R); every row is a list of
-    exact rationals over the common denominator and sums to one exactly.
-    """
-    _check_block_params(L, R, l_cap)
-    den = math.comb(L, L - R)
-    worst = (1 << L) * min(den, 1 << R)
+    worst = (1 << L) * min(math.comb(L, R), 1 << R)
     if worst > entry_budget:
         raise ResourceLimitError(
             f"fixed channel ({L},{R}) may need {worst} entries,"
             f" budget {entry_budget}")
-    block = _count_blocks(L, R, R)[R]
-    indptr, cols, counts = (a.astype(np.int64)
-                            for a in (block.indptr, block.indices, block.data))
+
+
+def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
+                                 entry_budget=DEFAULT_ENTRY_BUDGET, block=None):
+    """Channel that deletes exactly L - R bits, uniformly over patterns.
+
+    P(b | a) = embedding_count(a, b) / C(L, L - R); every row is a list of
+    exact rationals over the common denominator and sums to one exactly.
+    The channel holds the int32 arrays of block, the cell's count block
+    from a count_blocks walk, or of its own walk to the cell.
+    """
+    _check_fixed_cell(L, R, l_cap, entry_budget)
+    if block is None:
+        [(_, _, block)] = count_blocks([(L, R)])
     return SparseChannel(
-        indptr=indptr,
-        indices=cols,
-        probs=counts / den,
+        indptr=block.indptr,
+        indices=block.indices,
+        probs=None,
         input_length=L,
         output_lengths=np.full(1 << R, R, dtype=np.int8),
         output_values=np.arange(1 << R, dtype=np.int64),
-        exact_numerators=counts,
-        exact_denominator=den,
+        exact_numerators=block.data,
+        exact_denominator=math.comb(L, L - R),
     )
-
-
-def _binomial_entry_estimate(L):
-    # pre-allocation estimate: per row at most min(C(L,r), 2^r) outputs of length r
-    return sum(min(math.comb(L, r), 1 << r) for r in range(L + 1)) << L
 
 
 @cache
 def _binomial_structure(L):
-    """d-independent skeleton of the binomial family: the fixed-deletion
-    count blocks (L, r), r = 0..L, stacked side by side. Length-r outputs
-    take ids from 2^r - 1 on, so the stack keeps every row sorted. Row
-    bounds, ids and counts stay int32: below the L cap every id is under
-    2^23 and every count at most C(22, 11)."""
-    stacked = sparse.hstack(list(_count_blocks(L, 0, L).values()),
-                            format="csr")
+    """d-independent skeleton of the binomial family: the int32 count
+    blocks (L, r), r = 0..L, stacked side by side. Length-r outputs take
+    ids from 2^r - 1 on, so the stack keeps every row sorted; below the L
+    cap every id is under 2^23 and every count at most C(22, 11)."""
+    stacked = sparse.hstack(
+        [block for _, _, block in count_blocks([(L, r) for r in range(L + 1)])],
+        format="csr")
     sizes = [1 << r for r in range(L + 1)]
     return (stacked.indptr, stacked.indices, stacked.data,
             np.repeat(np.arange(L + 1, dtype=np.int8), sizes),
@@ -267,7 +275,8 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
     d = float(d)
     if not 0.0 < d < 1.0:
         raise ParameterError("d must lie strictly inside (0, 1)")
-    est = _binomial_entry_estimate(L)
+    # per row at most min(C(L, r), 2^r) outputs of length r
+    est = sum(min(math.comb(L, r), 1 << r) for r in range(L + 1)) << L
     if est > entry_budget:
         raise ResourceLimitError(
             f"binomial channel L={L} may need {est} entries,"
@@ -357,10 +366,8 @@ def _fold_counts(L, indptr, indices, counts, output_lengths, output_values):
         lengths.append(np.full(len(orbit_sizes), r, dtype=np.int8))
     output_sizes = np.concatenate(sizes)
     column_lengths = np.concatenate(lengths)
-    rows = sparse.csr_array(
-        (counts, indices.astype(np.int32, copy=False),
-         indptr.astype(np.int32, copy=False)),
-        shape=(len(indptr) - 1, len(output_lengths)))[representatives]
+    rows = sparse.csr_array((counts, indices, indptr), shape=(
+        len(indptr) - 1, len(output_lengths)))[representatives]
     c = rows.data.astype(np.float64)
     c_log_c = np.log(c)
     c_log_c *= c

@@ -50,7 +50,6 @@ class RunConfig:
     tail_cut: int = None
     policy: str = "optimized"
     allow_long: bool = False
-    jobs: int = 1
 
 
 def _grid_triple(text):
@@ -122,16 +121,14 @@ def build_parser():
     common.add_argument("--l-max", dest="l_max", type=int,
                         help="largest block length served from the table")
     common.add_argument("--jobs", type=_worker_count, default=1,
-                        help="worker threads for table and verify;"
-                             " sweeps make one pass over the grid (c4 and"
-                             " lower solve it as one stack), and they,"
-                             " bound and limits ignore it")
+                        help="accepted and ignored: every command runs"
+                             " serially")
     common.add_argument("--allow-long", dest="allow_long",
                         action="store_true",
                         help=f"permit depths past {LONG_RUN_LIMIT} (seconds"
                              " to minutes and up to gigabytes of memory:"
-                             " the diagonal to 22 takes about 8 s and"
-                             " 2.1 GB; an L=17 c4 or lower-bound solve"
+                             " the diagonal to 22 takes about 14 s and"
+                             " 1.5 GB; an L=17 c4 or lower-bound solve"
                              " needs about 6.5 GB)")
 
     p_table = sub.add_parser(
@@ -253,8 +250,7 @@ def _run_table(config):
     _gate_long(config, diag, "l_max")
     table, _ = _open_table(config)
     _reserve(config, table, l_max)
-    populate_table(table, diagonal_l_max=max(diag, table.l_max),
-                   jobs=config.jobs)
+    populate_table(table, diagonal_l_max=max(diag, table.l_max))
     if config.cache_path:
         save_table(table, config.cache_path)
     _write_output(config, serialize_table(table))
@@ -397,7 +393,7 @@ def _run_limits(config):
 def _run_verify(config):
     table, depth = _open_table(config)
     _reserve(config, table, depth)
-    populate_table(table, diagonal_l_max=table.l_max, jobs=config.jobs)
+    populate_table(table, diagonal_l_max=table.l_max)
     reports = verify_lemma_suite(table)
     _write_output(config,
                   "".join(report.summary() + "\n" for report in reports))

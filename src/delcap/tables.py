@@ -11,14 +11,14 @@ shrink factor (1 - D/(L+1)) along the deleted-count diagonal.
 """
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, solve_capacity
-from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP,
-                      build_fixed_deletion_channel, orbit_channel)
+from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP, _check_fixed_cell,
+                      build_fixed_deletion_channel, count_blocks,
+                      orbit_channel)
 from .errors import (ExtrapolationRequiredError, ParameterError,
                      SolverNotConvergedError, TableChecksumError,
                      TableRowError, TableVersionError)
@@ -67,7 +67,6 @@ class CoefficientTable:
         self.max_iterations = max_iterations
         self.l_cap = l_cap
         self.entry_budget = entry_budget
-        self._lock = threading.Lock()
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientTable):
@@ -101,9 +100,11 @@ def _check_side(side):
         raise ParameterError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-def _compute_entry(table, L, R):
+def _compute_entry(table, L, R, block=None):
+    # block: the cell's count block, when a count_blocks walk has built it
     channel = orbit_channel(build_fixed_deletion_channel(
-        L, R, l_cap=table.l_cap, entry_budget=table.entry_budget))
+        L, R, l_cap=table.l_cap, entry_budget=table.entry_budget,
+        block=block))
     result = solve_capacity(channel, table.tolerance, table.max_iterations)
     if not result.converged:
         raise SolverNotConvergedError(
@@ -111,8 +112,7 @@ def _compute_entry(table, L, R):
             f" after {result.iterations} iterations", result=result)
     entry = TableEntry(result.capacity_lower, result.capacity_upper,
                        table.tolerance, SOURCE_BAA)
-    with table._lock:
-        table.entries[(L, R)] = entry
+    table.entries[(L, R)] = entry
     return entry
 
 
@@ -205,10 +205,11 @@ def extrapolate_tilde_alpha_lemma4(L, D, table, start=None):
     return base * factor
 
 
-def populate_table(table, *, diagonal_l_max=None, jobs=1):
+def populate_table(table, *, diagonal_l_max=None):
     """Fill the full grid up to table.l_max, plus the R = L-1 diagonal up
     to diagonal_l_max, solving cells that are missing or were cached at a
-    looser tolerance. Returns the table."""
+    looser tolerance, each as one count_blocks walk hands out its block
+    (every cell is checked against the limits first). Returns the table."""
     if diagonal_l_max is None:
         diagonal_l_max = table.l_max
     if diagonal_l_max < table.l_max:
@@ -219,18 +220,13 @@ def populate_table(table, *, diagonal_l_max=None, jobs=1):
             table.entries[(L, R)] = TableEntry(value, value, 0.0, SOURCE_CLOSED)
     cells = [(L, R) for L in range(3, table.l_max + 1) for R in range(2, L)]
     cells += [(L, L - 1) for L in range(table.l_max + 1, diagonal_l_max + 1)]
-    todo = []
-    for cell in cells:
-        entry = table.entries.get(cell)
-        if entry is None or entry.tolerance > table.tolerance:
-            todo.append(cell)
-    if jobs > 1 and len(todo) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda c: _compute_entry(table, *c), todo))
-    else:
-        for cell in todo:
-            _compute_entry(table, *cell)
+    todo = [cell for cell in cells if cell not in table.entries
+            or table.entries[cell].tolerance > table.tolerance]
+    for cell in todo:
+        _check_fixed_cell(*cell, table.l_cap, table.entry_budget)
+    for L, R, block in count_blocks(todo):
+        _compute_entry(table, L, R, block)
+        del block  # the walk builds the next block without this one
     return table
 
 

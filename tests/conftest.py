@@ -9,7 +9,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--run-long", action="store_true", default=False,
         help="run the long reproduction jobs (deep tables; the diagonal"
-             " to 22 takes about 8 s and 2.1 GB, the two L=17 jobs need"
+             " to 22 takes about 14 s and 1.5 GB, the two L=17 jobs need"
              " about 6.5 GB)")
 
 

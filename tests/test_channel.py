@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delcap.bounds
@@ -12,7 +12,8 @@ from delcap import (BitString, ParameterError, ResourceLimitError,
                     build_fixed_deletion_channel, dump_channel,
                     embedding_count)
 from delcap.baa import _divergences
-from delcap.channel import _binomial_structure, _label_orbits, orbit_channel
+from delcap.channel import (_binomial_structure, _label_orbits, count_blocks,
+                            orbit_channel)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -85,7 +86,7 @@ class TestFixedChannel:
                     dtype=np.int64)
                 assert_counts_match(channel.indptr, channel.indices,
                                     channel.exact_numerators, reference,
-                                    np.int64)
+                                    np.int32)
 
     def test_every_survivor_length_matches_r(self):
         L = 6
@@ -120,6 +121,37 @@ class TestFixedChannel:
             build_fixed_deletion_channel(12, 6, entry_budget=1000)
         with pytest.raises(ParameterError):
             build_fixed_deletion_channel(3, 4)
+
+
+_cells = st.integers(0, 10).flatmap(
+    lambda L: st.tuples(st.just(L), st.integers(0, L)))
+
+
+class TestCountWalk:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(_cells, min_size=1, max_size=12))
+    @example([(L, L - 1) for L in range(3, 11)])  # a diagonal alone
+    @example([(10, 2), (10, 9)])  # a gap in the band of every level
+    @example([(2, 1), (9, 8), (10, 0), (3, 1), (3, 1)])
+    def test_walk_equals_one_cell_walks(self, cells):
+        walked = list(count_blocks(cells))
+        assert [(L, R) for L, R, _ in walked] == sorted(set(cells))
+        for L, R, block in walked:
+            [(_, _, alone)] = count_blocks([(L, R)])
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(block, name), getattr(alone, name)
+                assert got.dtype == want.dtype == np.int32
+                assert np.array_equal(got, want), (L, R, name)
+
+    def test_fixed_channel_holds_the_walked_block(self):
+        [(_, _, block)] = count_blocks([(6, 4)])
+        channel = build_fixed_deletion_channel(6, 4, block=block)
+        assert channel.indptr is block.indptr
+        assert channel.indices is block.indices
+        assert channel.exact_numerators is block.data
+        assert "probs" not in vars(channel)
+        assert np.array_equal(channel.probs, block.data / math.comb(6, 2))
+        channel.validate()
 
 
 class TestBinomialChannel:

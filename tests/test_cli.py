@@ -48,6 +48,31 @@ class TestTableCommand:
         assert lines[-1].startswith("checksum,")
         assert load_table(cache).l_max == 5
 
+    def test_each_solved_cell_builds_its_channel_once(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # bench/tracer.py wraps this name as channel.fixed and reads the
+        # cell from the first two positional arguments
+        build = delcap.tables.build_fixed_deletion_channel
+        calls = []
+
+        def counted(*args, **kwargs):
+            channel = build(*args, **kwargs)
+            calls.append((args[0], args[1], channel.entry_count))
+            return channel
+
+        monkeypatch.setattr(delcap.tables, "build_fixed_deletion_channel",
+                            counted)
+        cache = tmp_path / "t.txt"
+        code, _, _ = run_cli(capsys, "table", "--l-max", "6",
+                             "--diag-l-max", "7", "--cache", str(cache))
+        assert code == 0
+        solved = sorted(cell for cell, entry in load_table(cache).entries.items()
+                        if entry.source == "baa")
+        assert len(solved) == 11  # (3, 2) .. (6, 5), then (7, 6)
+        assert sorted((L, R) for L, R, _ in calls) == solved
+        for L, R, entries in calls:
+            assert entries == build(L, R).entry_count
+
     def test_reuses_existing_cache(self, capsys, tmp_path, default_table):
         cache = tmp_path / "t.txt"
         save_table(default_table, cache)

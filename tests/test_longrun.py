@@ -1,8 +1,9 @@
 """Deep-block reproduction jobs, hidden behind --run-long for their
-memory. The deep table (diagonal to 22) builds in about 8 s at about
-2.1 GB, and the three jobs on it and on (17, 8) pass in about 17 s. The
-two L=17 jobs (c4, lower bound) build an L=17 binomial skeleton of about
-6.5 GB (projected, not run), more than an 8 GB machine can hold.
+memory. The deep table (diagonal to 22) builds in about 14 s at about
+1.5 GB, and the three jobs on it and on (17, 8) pass in about 27 s at
+about 1.7 GB. The two L=17 jobs (c4, lower bound) build an L=17 binomial
+skeleton of about 6.5 GB (projected, not run), more than an 8 GB machine
+can hold.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
 their values repeat the frozen desk-scale references at full depth.

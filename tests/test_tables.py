@@ -1,14 +1,19 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import delcap.tables
 from delcap import (CoefficientTable, ExtrapolationRequiredError,
-                    ParameterError, TableChecksumError, TableEntry,
-                    TableRowError, TableVersionError, alpha, alpha_tilde,
+                    ParameterError, ResourceLimitError, TableChecksumError,
+                    TableEntry, TableRowError, TableVersionError, alpha,
+                    alpha_tilde,
                     closed_form_f, extrapolate_alpha_lemma2,
                     extrapolate_tilde_alpha_lemma4, f_tilde_value, f_value,
                     load_table, populate_table, save_table, serialize_table)
-from delcap.tables import SOURCE_BAA, SOURCE_CLOSED, TABLE_HEADER
+from delcap.tables import (SOURCE_BAA, SOURCE_CLOSED, TABLE_HEADER,
+                           _compute_entry)
 
 from reference_values import (F_REFERENCE, TABLE_VALUE_TOLERANCE,
                               bracket_matches_reference)
@@ -180,10 +185,40 @@ class TestPopulate:
         populate_table(table)
         assert table.entries[(5, 3)] is entry
 
-    def test_parallel_population_matches_serial(self):
-        serial = small_table(l_max=6)
-        parallel = populate_table(CoefficientTable(l_max=6), jobs=4)
-        assert parallel == serial
+    @settings(deadline=None, max_examples=15)
+    @given(st.integers(2, 6), st.integers(0, 3),
+           st.sets(st.tuples(st.integers(3, 6), st.integers(2, 5))))
+    @example(2, 3, set())  # the diagonal alone
+    @example(6, 2, {(5, 2), (5, 3), (6, 4)})
+    def test_walk_matches_per_cell_solves(self, l_max, extra, kept):
+        # cells cached tight beforehand are skipped, which leaves gaps
+        table = CoefficientTable(l_max=l_max)
+        cells = {(L, R) for L in range(3, l_max + 1) for R in range(2, L)}
+        kept &= cells
+        for cell in kept:
+            table.entries[cell] = TableEntry(0.0, 9.0, 0.0, "loaded")
+        populate_table(table, diagonal_l_max=l_max + extra)
+        solved = {cell: entry for cell, entry in table.entries.items()
+                  if entry.source == SOURCE_BAA}
+        assert set(solved) == cells - kept | {
+            (L, L - 1) for L in range(l_max + 1, l_max + extra + 1)}
+        alone = CoefficientTable(l_max=l_max)
+        for (L, R), entry in solved.items():
+            assert _compute_entry(alone, L, R) == entry
+
+    def test_over_budget_cell_refused_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(delcap.tables, "solve_capacity",
+                            lambda *a, **k: solves.append(a))
+        # (6, 3) may need 2^6 * 8 = 512 entries; every smaller cell fits
+        table = CoefficientTable(l_max=6, entry_budget=511)
+        with pytest.raises(ResourceLimitError,
+                           match=r"^fixed channel \(6,3\) may need 512"
+                                 r" entries, budget 511$"):
+            populate_table(table)
+        assert solves == []
+        assert all(entry.source == SOURCE_CLOSED
+                   for entry in table.entries.values())
 
     def test_diagonal_extension(self):
         table = populate_table(CoefficientTable(l_max=4), diagonal_l_max=6)
