@@ -14,8 +14,8 @@ input bit, which builds the sparse int32 count block (l, r) from the
 blocks (l-1, r-1) and (l-1, r) without ever forming a dense matrix; one
 walk (count_blocks) serves a list of cells, such as a whole table build.
 The binomial family's count skeleton is the blocks (L, 0), ..., (L, L)
-of one walk stacked side by side, and d only weights block r by
-d^(L-r) (1-d)^r.
+side by side, and d only weights block r by d^(L-r) (1-d)^r; the solve
+path never forms it (see below).
 
 Deleting bits commutes with complementing them and with reversing their
 order, so both families map the orbit of an input under that 4-element
@@ -28,14 +28,18 @@ reduced row term of x's orbit minus sum_O M[o, O] log q_O, where q_O is
 the orbit's total mass. The solver runs on this smaller matrix and
 certifies the same capacity.
 
-Both families fold alike (_fold_counts): integer embedding counts C on
-the orbits, times one weight per output length, M = C diag(w), which
-the solver applies to vectors. The binomial skeleton is folded once per
-L (_binomial_orbit_store) and shared by every d; orbit_stack lays the
-weights of several d over it as one stack, which the solver solves in
-one pass. A SparseChannel of either family holds integer counts and
-forms probs on first read (row, dump_channel, validate, a solve on the
-full channel), which orbit_channel never does.
+Both families fold alike, one output length at a time (_fold_length):
+integer embedding counts C on the orbits, times one weight per output
+length, M = C diag(w), which the solver applies to vectors. A fixed
+cell (L, R) is the fold at r = R of its block's representative rows.
+The binomial store (_binomial_orbit_store) folds every length r once
+per L and is shared by every d; it takes each representative's rows
+from the count blocks of level L - 1, so neither the level-L blocks nor
+the skeleton are built. orbit_stack lays the weights of several d over
+the store as one stack, which the solver solves in one pass. A
+SparseChannel of either family forms probs on first read (row,
+dump_channel, validate, a solve on the full channel), and a binomial
+one forms its skeleton arrays then too; orbit_channel reads neither.
 """
 
 import math
@@ -53,37 +57,54 @@ DEFAULT_L_CAP = 22
 DEFAULT_ENTRY_BUDGET = 1 << 28
 
 
+# fields a SparseChannel may leave None, formed on first read: probs in
+# either family, and the skeleton arrays of a binomial channel
+_LAZY_FIELDS = ("indptr", "indices", "probs", "output_lengths",
+                "output_values")
+
+
 @dataclass(frozen=True, eq=False)
 class SparseChannel:
     """Immutable sparse DMC; row x lists P(y|x) over the reachable outputs."""
 
-    indptr: np.ndarray          # (n_inputs + 1,) row boundaries
-    indices: np.ndarray         # (nnz,) output ids, strictly increasing per row
+    indptr: np.ndarray | None   # (n_inputs + 1,) row boundaries
+    indices: np.ndarray | None  # (nnz,) output ids, strictly increasing per row
     probs: np.ndarray | None    # (nnz,) float64; None: formed on first read
     input_length: int           # bits per input label; input id == label value
-    output_lengths: np.ndarray  # (n_outputs,) bits of each output label
-    output_values: np.ndarray   # (n_outputs,) value of each output label
+    output_lengths: np.ndarray | None  # (n_outputs,) bits of each output label
+    output_values: np.ndarray | None   # (n_outputs,) value of each output label
     exact_numerators: np.ndarray | None = None  # embedding counts (fixed family)
     exact_denominator: int | None = None        # common denominator C(L, L-R)
     # binomial family: the weight d^(L-r) (1-d)^r of each output length r,
-    # which scales the cached count skeleton of this input length
+    # which scales the count skeleton of this input length; the skeleton's
+    # arrays and probs are None until something reads them
     length_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.probs is None:  # left to __getattr__ until first read
-            object.__delattr__(self, "probs")
+        for name in _LAZY_FIELDS:
+            if getattr(self, name) is None:  # left to __getattr__
+                object.__delattr__(self, name)
 
     def __getattr__(self, name):
-        # normal lookup fails only for probs that are not formed yet
-        if name != "probs":
+        # normal lookup fails only for fields that are not formed yet
+        if name not in _LAZY_FIELDS:
             raise AttributeError(name)
-        if self.length_weights is None:  # fixed family: exact rationals
-            probs = self.exact_numerators / self.exact_denominator
-        else:
-            probs = (_binomial_structure(self.input_length)[2]
-                     * self.length_weights[self.output_lengths[self.indices]])
-        object.__setattr__(self, "probs", probs)
-        return probs
+        if name == "probs":
+            if self.length_weights is None:  # fixed family: exact rationals
+                value = self.exact_numerators / self.exact_denominator
+            else:
+                value = (_binomial_structure(self.input_length)[2]
+                         * self.length_weights[
+                             self.output_lengths[self.indices]])
+            object.__setattr__(self, name, value)
+            return value
+        indptr, indices, _, lengths, values = _binomial_structure(
+            self.input_length)
+        for field, value in (("indptr", indptr), ("indices", indices),
+                             ("output_lengths", lengths),
+                             ("output_values", values)):
+            object.__setattr__(self, field, value)
+        return getattr(self, name)
 
     @property
     def input_count(self):
@@ -95,7 +116,9 @@ class SparseChannel:
 
     @property
     def entry_count(self):
-        return len(self.indices)
+        if self.length_weights is None:
+            return len(self.indices)
+        return _skeleton_entries(self.input_length)
 
     @property
     def input_sizes(self):
@@ -207,6 +230,17 @@ def count_blocks(cells):
         level = nxt
 
 
+def block_entries(L, r):
+    """Entries of count block (L, r): every length-r string has the same
+    sum_{i <= L-r} C(L, i) supersequences of length L."""
+    return (1 << r) * sum(math.comb(L, i) for i in range(L - r + 1))
+
+
+def _skeleton_entries(L):
+    """Entries of the count blocks (L, 0), ..., (L, L) together."""
+    return sum(block_entries(L, r) for r in range(L + 1))
+
+
 def _check_fixed_cell(L, R, l_cap, entry_budget):
     if L < 0 or R < 0 or R > L:
         raise ParameterError(f"need 0 <= R <= L, got L={L}, R={R}")
@@ -245,10 +279,11 @@ def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
 
 @cache
 def _binomial_structure(L):
-    """d-independent skeleton of the binomial family: the int32 count
-    blocks (L, r), r = 0..L, stacked side by side. Length-r outputs take
-    ids from 2^r - 1 on, so the stack keeps every row sorted; below the L
-    cap every id is under 2^23 and every count at most C(22, 11)."""
+    """The full count skeleton of the binomial family, which only the
+    binomial SparseChannel's lazy readers form: the int32 count blocks
+    (L, r), r = 0..L, stacked side by side. Length-r outputs take ids
+    from 2^r - 1 on, so the stack keeps every row sorted; below the L cap
+    every id is under 2^23 and every count at most C(22, 11)."""
     stacked = sparse.hstack(
         [block for _, _, block in count_blocks([(L, r) for r in range(L + 1)])],
         format="csr")
@@ -264,9 +299,12 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
 
     P(y | x) = embedding_count(x, y) d^(L-|y|) (1-d)^|y| over outputs of
     every length 0..L; the empty string is a first-class output. The
-    d-independent count skeleton, the stacked fixed-deletion count blocks
-    (L, r) for r = 0..L, is cached per L; the channel carries it with the
-    L + 1 length weights and forms probs only when something reads them.
+    channel holds the L + 1 length weights; its d-independent count
+    skeleton, the fixed-deletion count blocks (L, r) for r = 0..L side by
+    side, is cached per L and formed only when something reads it.
+    The budget counts what the solve path builds: the count blocks of
+    level L - 1 and the representative rows, which lie among the rows
+    with a leading 0, half of all skeleton entries.
     """
     if L < 1:
         raise ParameterError(f"need L >= 1, got L={L}")
@@ -275,20 +313,18 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
     d = float(d)
     if not 0.0 < d < 1.0:
         raise ParameterError("d must lie strictly inside (0, 1)")
-    # per row at most min(C(L, r), 2^r) outputs of length r
-    est = sum(min(math.comb(L, r), 1 << r) for r in range(L + 1)) << L
+    est = _skeleton_entries(L - 1) + _skeleton_entries(L) // 2
     if est > entry_budget:
         raise ResourceLimitError(
             f"binomial channel L={L} may need {est} entries,"
             f" budget {entry_budget}")
-    indptr, cols, _, lengths, values = _binomial_structure(L)
     return SparseChannel(
-        indptr=indptr,
-        indices=cols,
+        indptr=None,
+        indices=None,
         probs=None,
         input_length=L,
-        output_lengths=lengths,
-        output_values=values,
+        output_lengths=None,
+        output_values=None,
         length_weights=np.array([d ** (L - r) * (1.0 - d) ** r
                                  for r in range(L + 1)]),
     )
@@ -307,7 +343,7 @@ def _label_orbits(n):
     smallest = np.minimum(np.minimum(values, values ^ mask),
                           np.minimum(reverse, reverse ^ mask))
     representatives = values[smallest == values]
-    index = np.searchsorted(representatives, smallest)
+    index = np.searchsorted(representatives, smallest).astype(np.int32)
     return index, representatives, np.bincount(index)
 
 
@@ -346,51 +382,88 @@ class OrbitChannel:
         return self._matrix.nnz
 
 
-def _fold_counts(L, indptr, indices, counts, output_lengths, output_values):
-    """Integer embedding counts of L-bit inputs folded onto orbits: (C,
-    C transposed, H, the output length of each column, representatives,
-    input_sizes, output_sizes). Output orbits are numbered length by
-    length, shortest first. H[o, r] is the sum of c log c over the
-    length-r counts c of the representative's full row plus
-    sum_{|O|=r} C[o, O] log |O|. C keeps int32 indices, which makes the
-    solver's products faster than int64 and gives the same sums.
-    """
-    _, representatives, input_sizes = _label_orbits(L)
-    out_orbit = np.empty(len(output_lengths), dtype=np.int32)
-    sizes, lengths = [], []
-    for r in np.unique(output_lengths):  # shorter labels' orbits first
-        index, _, orbit_sizes = _label_orbits(int(r))
-        at = output_lengths == r
-        out_orbit[at] = sum(map(len, sizes)) + index[output_values[at]]
-        sizes.append(orbit_sizes)
-        lengths.append(np.full(len(orbit_sizes), r, dtype=np.int8))
-    output_sizes = np.concatenate(sizes)
-    column_lengths = np.concatenate(lengths)
-    rows = sparse.csr_array((counts, indices, indptr), shape=(
-        len(indptr) - 1, len(output_lengths)))[representatives]
+def _row_sums(values, like):
+    """Sum of values over each row of the CSR like, added one at a time
+    in the row's order, so every fold of the same row sums alike."""
+    return sparse.csr_array((values, like.indices, like.indptr),
+                            shape=like.shape) @ np.ones(like.shape[1])
+
+
+def _fold_length(r, rows):
+    """The length-r part of a fold: rows, one per input orbit, hold the
+    representatives' int32 counts into the length-r outputs as canonical
+    CSR. Returns (C over the length-r output orbits, H's column r, those
+    orbits' sizes). H[o, r] is the sum of c log c over the counts c of
+    the row plus sum_O C[o, O] log |O|. C keeps int32 indices, which
+    makes the solver's products faster than int64 and gives the same
+    sums."""
+    index, _, sizes = _label_orbits(r)
     c = rows.data.astype(np.float64)
     c_log_c = np.log(c)
     c_log_c *= c
+    part = sparse.csr_array((c, index[rows.indices], rows.indptr.copy()),
+                            shape=(rows.shape[0], len(sizes)))
+    part.sum_duplicates()  # in place, sorted; the counts sum exactly
+    h = _row_sums(c_log_c, rows)
+    h += _row_sums(part.data * np.log(sizes)[part.indices], part)
+    return part, h, sizes
 
-    def by_length(values, lengths, indptr):
-        # sums each row's values per length: toarray adds up duplicates
-        return sparse.csr_array((values, lengths, indptr),
-                                shape=(len(indptr) - 1, L + 1)).toarray()
 
-    h = by_length(c_log_c, output_lengths[rows.indices], rows.indptr)
-    matrix = sparse.csr_array((c, out_orbit[rows.indices], rows.indptr.copy()),
-                              shape=(len(representatives), len(output_sizes)))
-    matrix.sum_duplicates()  # in place, sorted; the counts sum exactly
-    h += by_length(matrix.data * np.log(output_sizes)[matrix.indices],
-                   column_lengths[matrix.indices], matrix.indptr)
-    return (matrix, matrix.T.tocsr(), h, column_lengths,
-            representatives, input_sizes.astype(np.float64), output_sizes)
+def _stack_folds(L, folds):
+    """The folded store from the per-length folds {r: _fold_length(r,
+    ...)}: (C, C transposed, H, the output length of each column,
+    representatives, input_sizes, output_sizes). Output orbits are
+    numbered length by length, shortest first."""
+    _, representatives, input_sizes = _label_orbits(L)
+    parts, columns, sizes = zip(*folds.values())
+    # a fixed cell's one part is C as it stands; hstack would copy it
+    matrix = (parts[0] if len(parts) == 1
+              else sparse.hstack(parts, format="csr"))
+    h = np.zeros((len(representatives), L + 1))
+    h[:, list(folds)] = np.column_stack(columns)
+    column_lengths = np.repeat(np.array(list(folds), dtype=np.int8),
+                               [len(s) for s in sizes])
+    return (matrix, matrix.T.tocsr(), h, column_lengths, representatives,
+            input_sizes.astype(np.float64), np.concatenate(sizes))
+
+
+def _fold_cell(channel):
+    """The folded store of a fixed-deletion cell (L, R): the fold at r = R
+    of its block's representative rows."""
+    L, R = channel.input_length, int(channel.output_lengths[0])
+    block = sparse.csr_array(
+        (channel.exact_numerators, channel.indices, channel.indptr),
+        shape=(channel.input_count, channel.output_count))
+    _, representatives, _ = _label_orbits(L)
+    return _stack_folds(L, {R: _fold_length(R, block[representatives])})
 
 
 @cache
 def _binomial_orbit_store(L):
-    """The binomial skeleton of block length L, folded once for every d."""
-    return _fold_counts(L, *_binomial_structure(L))
+    """The binomial skeleton of block length L, folded once for every d,
+    from the count blocks of level L - 1.
+
+    A representative x is at most its complement, so x = 0.A with A of
+    x's value, and the leading-bit recursion makes x's length-r row the
+    sum of row A of block (L-1, r-1), whose columns keep their values
+    because the leading output bit is the consumed 0, and row A of block
+    (L-1, r).
+    """
+    _, representatives, _ = _label_orbits(L)
+
+    def widened(rows, r):  # rows of block (L-1, r-1) as length-r outputs
+        return sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                                shape=(rows.shape[0], 1 << r))
+
+    folds, below = {}, None
+    for _, r, block in count_blocks([(L - 1, r) for r in range(L)]):
+        rows = block[representatives]
+        del block  # the walk builds the next block without this one
+        folds[r] = _fold_length(
+            r, rows if below is None else rows + widened(below, r))
+        below = rows
+    folds[L] = _fold_length(L, widened(below, L))
+    return _stack_folds(L, folds)
 
 
 def _weigh(L, folded, w):
@@ -421,10 +494,7 @@ def orbit_channel(channel):
         return _weigh(L, _binomial_orbit_store(L), channel.length_weights)
     w = np.zeros(L + 1)
     w[channel.output_lengths[0]] = 1.0 / channel.exact_denominator
-    return _weigh(L, _fold_counts(L, channel.indptr, channel.indices,
-                                  channel.exact_numerators,
-                                  channel.output_lengths,
-                                  channel.output_values), w)
+    return _weigh(L, _fold_cell(channel), w)
 
 
 def orbit_stack(channels):

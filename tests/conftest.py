@@ -8,9 +8,8 @@ from delcap import build_default_table, save_table
 def pytest_addoption(parser):
     parser.addoption(
         "--run-long", action="store_true", default=False,
-        help="run the long reproduction jobs (deep tables; the diagonal"
-             " to 22 takes about 14 s and 1.5 GB, the two L=17 jobs need"
-             " about 6.5 GB)")
+        help="run the long reproduction jobs (deep tables and L=17; all"
+             " five take about 42 s at about 1.9 GB on 2 cores)")
 
 
 def pytest_collection_modifyitems(config, items):

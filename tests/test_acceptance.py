@@ -155,8 +155,9 @@ def test_criterion_08_tail_closed_form(default_table):
 
 
 def test_criterion_09_deep_blocks_declared_long_run():
-    # the L=17 reproductions need about 6.5 GB, so the gate only verifies
-    # that the long-run jobs exist and target the right frozen references
+    # the L=17 reproductions take about 20 s at 1.8 GB each, so the gate
+    # only verifies that the long-run jobs exist and target the right
+    # frozen references
     source = Path(__file__).with_name("test_longrun.py").read_text()
     ok = ("pytest.mark.longrun" in source
           and "C4_L17_D050" in source

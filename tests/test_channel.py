@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import delcap.bounds
 from delcap import (BitString, ParameterError, ResourceLimitError,
@@ -12,8 +13,9 @@ from delcap import (BitString, ParameterError, ResourceLimitError,
                     build_fixed_deletion_channel, dump_channel,
                     embedding_count)
 from delcap.baa import _divergences
-from delcap.channel import (_binomial_structure, _label_orbits, count_blocks,
-                            orbit_channel)
+from delcap.channel import (_binomial_orbit_store, _binomial_structure,
+                            _fold_cell, _label_orbits, block_entries,
+                            count_blocks, orbit_channel)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -50,6 +52,55 @@ def assert_counts_match(indptr, indices, counts, reference, dtype):
     stored = np.zeros_like(reference)
     stored[rows, indices] = counts
     assert np.array_equal(stored, reference)
+
+
+def eager_fold(L, indptr, indices, counts, output_lengths, output_values):
+    """Reference fold of full count rows onto orbits, every output length
+    at once: (C, C transposed, H, column lengths, representatives,
+    input_sizes, output_sizes), as the package folded before it folded one
+    length at a time."""
+    _, representatives, input_sizes = _label_orbits(L)
+    out_orbit = np.empty(len(output_lengths), dtype=np.int32)
+    sizes, lengths = [], []
+    for r in np.unique(output_lengths):
+        index, _, orbit_sizes = _label_orbits(int(r))
+        at = output_lengths == r
+        out_orbit[at] = sum(map(len, sizes)) + index[output_values[at]]
+        sizes.append(orbit_sizes)
+        lengths.append(np.full(len(orbit_sizes), r, dtype=np.int8))
+    output_sizes = np.concatenate(sizes)
+    column_lengths = np.concatenate(lengths)
+    rows = sparse.csr_array((counts, indices, indptr), shape=(
+        len(indptr) - 1, len(output_lengths)))[representatives]
+    c = rows.data.astype(np.float64)
+    c_log_c = np.log(c)
+    c_log_c *= c
+
+    def by_length(values, lengths, indptr):
+        # sums each row's values per length: toarray adds up duplicates
+        return sparse.csr_array((values, lengths, indptr),
+                                shape=(len(indptr) - 1, L + 1)).toarray()
+
+    h = by_length(c_log_c, output_lengths[rows.indices], rows.indptr)
+    matrix = sparse.csr_array((c, out_orbit[rows.indices], rows.indptr.copy()),
+                              shape=(len(representatives), len(output_sizes)))
+    matrix.sum_duplicates()
+    h += by_length(matrix.data * np.log(output_sizes)[matrix.indices],
+                   column_lengths[matrix.indices], matrix.indptr)
+    return (matrix, matrix.T.tocsr(), h, column_lengths,
+            representatives, input_sizes.astype(np.float64), output_sizes)
+
+
+def assert_same_store(got, want):
+    """Two folded stores agree bit for bit, dtypes included."""
+    for a, b in zip(got[:2], want[:2]):
+        assert a.shape == b.shape
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    for x, y in zip(got[2:], want[2:]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 class TestFixedChannel:
@@ -143,6 +194,12 @@ class TestCountWalk:
                 assert got.dtype == want.dtype == np.int32
                 assert np.array_equal(got, want), (L, R, name)
 
+    def test_closed_form_block_sizes(self):
+        cells = [(L, r) for L in range(13) for r in range(L + 1)]
+        for L, r, block in count_blocks(cells):
+            assert block_entries(L, r) == block.nnz, (L, r)
+        assert sum(block_entries(12, r) for r in range(13)) == 1058786
+
     def test_fixed_channel_holds_the_walked_block(self):
         [(_, _, block)] = count_blocks([(6, 4)])
         channel = build_fixed_deletion_channel(6, 4, block=block)
@@ -234,6 +291,26 @@ class TestBinomialChannel:
         assert np.array_equal(a.indptr, b.indptr)
         assert not np.array_equal(a.probs, b.probs)
 
+    def test_skeleton_forms_on_first_read(self):
+        channel = build_binomial_deletion_channel(7, 0.4)
+        assert channel.entry_count == sum(block_entries(7, r)
+                                          for r in range(8))
+        for name in ("indptr", "indices", "probs", "output_lengths",
+                     "output_values"):
+            assert name not in vars(channel)
+        indptr, cols, _, lengths, values = _binomial_structure(7)
+        assert channel.output_values is values
+        assert channel.indptr is indptr and channel.indices is cols
+        assert channel.output_lengths is lengths
+        assert channel.entry_count == len(cols)
+
+    def test_budget_counts_the_level_below_and_half_the_skeleton(self):
+        # level-9 blocks (38854 entries) plus the rows with a leading 0,
+        # half of the 117074 skeleton entries at L=10
+        build_binomial_deletion_channel(10, 0.5, entry_budget=97391)
+        with pytest.raises(ResourceLimitError, match="may need 97391"):
+            build_binomial_deletion_channel(10, 0.5, entry_budget=97390)
+
     def test_rejections(self):
         with pytest.raises(ParameterError):
             build_binomial_deletion_channel(0, 0.5)
@@ -324,6 +401,23 @@ class TestOrbitChannel:
             full = _divergences(channel, law)[reduced.representatives]
             assert np.allclose(_divergences(reduced, reduced_law), full,
                                rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 11))
+    def test_store_from_level_below_equals_eager_fold(self, L):
+        # uncached, so every example builds the store afresh
+        assert_same_store(_binomial_orbit_store.__wrapped__(L),
+                          eager_fold(L, *_binomial_structure(L)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 11).flatmap(
+        lambda L: st.tuples(st.just(L), st.integers(0, L))))
+    def test_cell_fold_equals_eager_fold(self, cell):
+        channel = build_fixed_deletion_channel(*cell)
+        assert_same_store(_fold_cell(channel), eager_fold(
+            cell[0], channel.indptr, channel.indices,
+            channel.exact_numerators, channel.output_lengths,
+            channel.output_values))
 
     def test_binomial_counts_are_shared_across_d(self):
         a = orbit_channel(build_binomial_deletion_channel(6, 0.2))

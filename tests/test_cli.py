@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import pytest
 import delcap
 from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
                     TableEntry, bound_c2_star, bound_c3, compose_best_upper,
-                    d_grid, load_table, populate_table, resolve_l_max,
-                    save_table)
+                    d_grid, dump_channel, load_table, populate_table,
+                    resolve_l_max, save_table)
+from delcap.channel import _binomial_structure
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, main
 
 from reference_values import F_REFERENCE, bracket_matches_reference
@@ -221,6 +223,41 @@ class TestSweepCommand:
         assert len(values) == 9
         assert values == sorted(values, reverse=True)
 
+    def test_c4_sweep_builds_each_d_once_without_the_skeleton(
+            self, capsys, tmp_path, monkeypatch):
+        # bench/tracer.py wraps this name as channel.binomial and reads
+        # (L, d) from the first two positional arguments
+        build = delcap.bounds.build_binomial_deletion_channel
+        calls = []
+
+        def counted(*args, **kwargs):
+            channel = build(*args, **kwargs)
+            calls.append((args, channel))
+            return channel
+
+        monkeypatch.setattr(delcap.bounds, "build_binomial_deletion_channel",
+                            counted)
+        skeletons = _binomial_structure.cache_info().currsize
+        code, out, _ = run_cli(capsys, "sweep", "--kind", "c4", "--L", "6",
+                               "--d-grid", "0.1:0.5:0.1")
+        assert code == 0
+        ds = [float(row[2]) for row in rows_of(out)]
+        assert [args for args, _ in calls] == [(6, d) for d in ds]
+        assert len(ds) == 5
+        assert _binomial_structure.cache_info().currsize == skeletons
+        for _, channel in calls:
+            assert channel.entry_count == 1394  # closed form at L=6
+            assert "indptr" not in vars(channel)
+        # the readers form the skeleton and return what they always did
+        channel = build(6, 0.3)
+        channel.validate()
+        assert len(channel.row(11)) == 24
+        assert channel.row(11)[-1] == (74, 0.11764899999999996)
+        path = tmp_path / "binomial.txt"
+        dump_channel(channel, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f832f7283b551bebf781e639e035bae27c0ddde46ef1d7e37e916b1ab82d049e")
+
     def test_repeated_runs_are_byte_identical(self, tmp_path,
                                               table_cache_path, capsys):
         args = ("sweep", "--kind", "c3", "--L", "8",
@@ -420,7 +457,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "bound", "--kind", "c4", "--L", "10",
                                  "--d", "0.5", "--entry-budget", "1000")
         assert code == 1 and out == ""
-        assert "may need 310272 entries, budget 1000" in err
+        assert "may need 97391 entries, budget 1000" in err
         code, out, err = run_cli(capsys, "table", "--l-max", "6",
                                  "--entry-budget", "100")
         assert code == 1 and out == ""
