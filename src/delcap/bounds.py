@@ -15,8 +15,8 @@ import numpy as np
 
 from .baa import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
                   mutual_information, solve_capacity)
-from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP,
-                      build_binomial_deletion_channel, orbit_stack)
+from .channel import (DEFAULT_ENTRY_BUDGET, build_binomial_deletion_channel,
+                      orbit_stack)
 # binomial_weight_tilde has no caller in this module; it stays bound
 # here because bench/tracer.py wraps it at this name
 from .combinatorics import binomial_weight, binomial_weight_tilde
@@ -27,8 +27,6 @@ from .tables import _top_level, alpha, alpha_tilde, closed_form_f
 UPPER_KINDS = ("c1_star", "c2_star", "c3", "c4", "erasure")
 LOWER_KINDS = ("lower_opt", "lower_iud")
 BOUND_KINDS = UPPER_KINDS + LOWER_KINDS
-
-DEFAULT_TAIL_CUT = 2000
 
 _REQUIRED_PARAMETERS = {
     "c1_star": ("D", "l_max"),
@@ -263,22 +261,22 @@ def bound_c3(L, d, table):
     return _shaped(1.0 - d - gap / L, scalar)
 
 
-def _binomial_orbits(L, ds, **limits):
+def _binomial_orbits(L, ds, entry_budget=DEFAULT_ENTRY_BUDGET):
     """The binomial channels at L and each of ds, built one d at a time
     and folded onto their orbits under complement and reversal as one
     stack."""
-    return orbit_stack([build_binomial_deletion_channel(L, d, **limits)
-                        for d in ds])
+    return orbit_stack([build_binomial_deletion_channel(
+        L, d, entry_budget=entry_budget) for d in ds])
 
 
 def _solve_binomial(what, L, ds, solver_tolerance, max_iterations,
-                    **limits):
+                    entry_budget):
     """Solve the binomial channels at L and each of ds as one stack; one
     BaaResult per d. `what` names the bound in the error raised for the
     first d whose bracket does not close."""
     if not ds:
         return []
-    result = solve_capacity(_binomial_orbits(L, ds, **limits),
+    result = solve_capacity(_binomial_orbits(L, ds, entry_budget),
                             solver_tolerance, max_iterations)
     for d, column in zip(ds, result.columns):
         if not column.converged:
@@ -289,7 +287,7 @@ def _solve_binomial(what, L, ds, solver_tolerance, max_iterations,
 
 
 def bound_c4(L, d, solver_tolerance=DEFAULT_TOLERANCE, *,
-             max_iterations=DEFAULT_MAX_ITERATIONS, l_cap=DEFAULT_L_CAP,
+             max_iterations=DEFAULT_MAX_ITERATIONS,
              entry_budget=DEFAULT_ENTRY_BUDGET):
     """Upper bound from the per-letter channel that also reveals block
     boundaries: certified-upper solver estimate over L, at one d or over
@@ -302,14 +300,14 @@ def bound_c4(L, d, solver_tolerance=DEFAULT_TOLERANCE, *,
     grid, scalar = _grid(d)
     ds = grid.values.tolist()
     results = _solve_binomial("c4", L, ds, solver_tolerance, max_iterations,
-                              l_cap=l_cap, entry_budget=entry_budget)
+                              entry_budget)
     return _shaped(np.array([min(result.capacity_upper / L, 1.0 - x)
                              for x, result in zip(ds, results)]), scalar)
 
 
 def lower_bound(L, d, distribution_policy="optimized",
                 solver_tolerance=DEFAULT_TOLERANCE, *,
-                max_iterations=DEFAULT_MAX_ITERATIONS, l_cap=DEFAULT_L_CAP,
+                max_iterations=DEFAULT_MAX_ITERATIONS,
                 entry_budget=DEFAULT_ENTRY_BUDGET):
     """Achievable rate: per-block information minus the boundary
     overhead, (I + sum_R p(L,R) log2 p(L,R)) / L, clamped at zero, at
@@ -328,13 +326,12 @@ def lower_bound(L, d, distribution_policy="optimized",
             f"got {distribution_policy!r}")
     grid, scalar = _grid(d)
     ds = grid.values.tolist()
-    limits = dict(l_cap=l_cap, entry_budget=entry_budget)
     if distribution_policy == "optimized":
         infos = [result.capacity_lower for result in _solve_binomial(
             "lower bound", L, ds, solver_tolerance, max_iterations,
-            **limits)]
+            entry_budget)]
     elif ds:
-        channel = _binomial_orbits(L, ds, **limits)
+        channel = _binomial_orbits(L, ds, entry_budget)
         infos = mutual_information(channel, channel.input_sizes / 2 ** L)
     else:
         infos = []
@@ -379,7 +376,7 @@ def evaluate_bound(spec, d, table):
     the iteration and size budgets of the table's solver settings."""
     grid, scalar = _grid(d)
     p = spec.parameters
-    limits = dict(max_iterations=table.max_iterations, l_cap=table.l_cap,
+    limits = dict(max_iterations=table.max_iterations,
                   entry_budget=table.entry_budget)
     if spec.kind == "erasure":
         _check_probability(grid.values, open_interval=False)
@@ -511,7 +508,6 @@ def conjecture1_report(d, table, *, max_c4_level=6,
 
     c4_values = [bound_c4(L, d, solver_tolerance,
                           max_iterations=table.max_iterations,
-                          l_cap=table.l_cap,
                           entry_budget=table.entry_budget)
                  for L in range(1, max_c4_level + 1)]
     reports.append(_collect_report(

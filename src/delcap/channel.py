@@ -53,7 +53,8 @@ from scipy import sparse
 from .combinatorics import BitString
 from .errors import ParameterError, ResourceLimitError
 
-DEFAULT_L_CAP = 22
+# block lengths past this are refused outright, whatever the entry budget
+L_CAP = 22
 DEFAULT_ENTRY_BUDGET = 1 << 28
 
 
@@ -241,11 +242,11 @@ def _skeleton_entries(L):
     return sum(block_entries(L, r) for r in range(L + 1))
 
 
-def _check_fixed_cell(L, R, l_cap, entry_budget):
+def _check_fixed_cell(L, R, entry_budget):
     if L < 0 or R < 0 or R > L:
         raise ParameterError(f"need 0 <= R <= L, got L={L}, R={R}")
-    if L > l_cap:
-        raise ResourceLimitError(f"L={L} beyond the block-length cap {l_cap}")
+    if L > L_CAP:
+        raise ResourceLimitError(f"L={L} beyond the block-length cap {L_CAP}")
     worst = (1 << L) * min(math.comb(L, R), 1 << R)
     if worst > entry_budget:
         raise ResourceLimitError(
@@ -253,8 +254,8 @@ def _check_fixed_cell(L, R, l_cap, entry_budget):
             f" budget {entry_budget}")
 
 
-def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
-                                 entry_budget=DEFAULT_ENTRY_BUDGET, block=None):
+def build_fixed_deletion_channel(L, R, *, entry_budget=DEFAULT_ENTRY_BUDGET,
+                                 block=None):
     """Channel that deletes exactly L - R bits, uniformly over patterns.
 
     P(b | a) = embedding_count(a, b) / C(L, L - R); every row is a list of
@@ -262,7 +263,7 @@ def build_fixed_deletion_channel(L, R, *, l_cap=DEFAULT_L_CAP,
     The channel holds the int32 arrays of block, the cell's count block
     from a count_blocks walk, or of its own walk to the cell.
     """
-    _check_fixed_cell(L, R, l_cap, entry_budget)
+    _check_fixed_cell(L, R, entry_budget)
     if block is None:
         [(_, _, block)] = count_blocks([(L, R)])
     return SparseChannel(
@@ -282,7 +283,7 @@ def _binomial_structure(L):
     """The full count skeleton of the binomial family, which only the
     binomial SparseChannel's lazy readers form: the int32 count blocks
     (L, r), r = 0..L, stacked side by side. Length-r outputs take ids
-    from 2^r - 1 on, so the stack keeps every row sorted; below the L cap
+    from 2^r - 1 on, so the stack keeps every row sorted; up to L_CAP
     every id is under 2^23 and every count at most C(22, 11)."""
     stacked = sparse.hstack(
         [block for _, _, block in count_blocks([(L, r) for r in range(L + 1)])],
@@ -293,7 +294,7 @@ def _binomial_structure(L):
             np.concatenate([np.arange(size) for size in sizes]))
 
 
-def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
+def build_binomial_deletion_channel(L, d, *,
                                     entry_budget=DEFAULT_ENTRY_BUDGET):
     """IID-deletion channel whose output carries its own length.
 
@@ -308,8 +309,8 @@ def build_binomial_deletion_channel(L, d, *, l_cap=DEFAULT_L_CAP,
     """
     if L < 1:
         raise ParameterError(f"need L >= 1, got L={L}")
-    if L > l_cap:
-        raise ResourceLimitError(f"L={L} beyond the block-length cap {l_cap}")
+    if L > L_CAP:
+        raise ResourceLimitError(f"L={L} beyond the block-length cap {L_CAP}")
     d = float(d)
     if not 0.0 < d < 1.0:
         raise ParameterError("d must lie strictly inside (0, 1)")

@@ -8,10 +8,8 @@ identical runs produce identical bytes.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
@@ -31,27 +29,6 @@ DEFAULT_GRID = (0.01, 0.99, 0.01)
 LONG_RUN_LIMIT = 14
 
 
-@dataclass
-class RunConfig:
-    command: str
-    kind: str = None
-    L: int = None
-    R: int = None
-    D: int = None
-    l_max: int = None
-    diagonal_l_max: int = None
-    d: float = None
-    grid: tuple = None
-    solver_tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    entry_budget: int = DEFAULT_ENTRY_BUDGET
-    cache_path: str = None
-    output_path: str = None
-    tail_cut: int = None
-    policy: str = "optimized"
-    allow_long: bool = False
-
-
 def _grid_triple(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -62,13 +39,6 @@ def _grid_triple(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"non-numeric field in {text!r}") from None
-
-
-def _worker_count(text):
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _add_bound_flags(parser):
@@ -120,9 +90,6 @@ def build_parser():
                              " entries")
     common.add_argument("--l-max", dest="l_max", type=int,
                         help="largest block length served from the table")
-    common.add_argument("--jobs", type=_worker_count, default=1,
-                        help="accepted and ignored: every command runs"
-                             " serially")
     common.add_argument("--allow-long", dest="allow_long",
                         action="store_true",
                         help=f"permit depths past {LONG_RUN_LIMIT} (seconds"
@@ -162,13 +129,6 @@ def build_parser():
     sub.add_parser("verify", parents=[common],
                    help="run the lemma suite against the table")
     return parser
-
-
-def parse_args(argv=None):
-    namespace = build_parser().parse_args(argv)
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    return RunConfig(**{key: value for key, value in vars(namespace).items()
-                        if key in known})
 
 
 def _usage(message):
@@ -402,6 +362,7 @@ def _run_verify(config):
     return 2 if any(report.violations for report in reports) else 0
 
 
+# each handler reads only the flags its own subparser defines
 _HANDLERS = {
     "table": _run_table,
     "bound": _run_bound,
@@ -411,19 +372,15 @@ _HANDLERS = {
 }
 
 
-def run(config):
-    return _HANDLERS[config.command](config)
-
-
 def main(argv=None):
     try:
-        config = parse_args(argv)
+        config = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help; fold the former
         # into the documented usage status
         return 0 if (exc.code or 0) == 0 else 1
     try:
-        return run(config)
+        return _HANDLERS[config.command](config)
     except SolverNotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

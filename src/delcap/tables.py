@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, solve_capacity
-from .channel import (DEFAULT_ENTRY_BUDGET, DEFAULT_L_CAP, _check_fixed_cell,
+from .channel import (DEFAULT_ENTRY_BUDGET, _check_fixed_cell,
                       build_fixed_deletion_channel, count_blocks,
                       orbit_channel)
 from .errors import (ExtrapolationRequiredError, ParameterError,
@@ -55,7 +55,7 @@ class CoefficientTable:
     """
 
     def __init__(self, l_max=DEFAULT_L_MAX, tolerance=DEFAULT_TOLERANCE,
-                 max_iterations=DEFAULT_MAX_ITERATIONS, l_cap=DEFAULT_L_CAP,
+                 max_iterations=DEFAULT_MAX_ITERATIONS,
                  entry_budget=DEFAULT_ENTRY_BUDGET):
         if l_max < 0:
             raise ParameterError("l_max must be non-negative")
@@ -65,7 +65,6 @@ class CoefficientTable:
         self.l_max = l_max
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.l_cap = l_cap
         self.entry_budget = entry_budget
 
     def __eq__(self, other):
@@ -103,8 +102,7 @@ def _check_side(side):
 def _compute_entry(table, L, R, block=None):
     # block: the cell's count block, when a count_blocks walk has built it
     channel = orbit_channel(build_fixed_deletion_channel(
-        L, R, l_cap=table.l_cap, entry_budget=table.entry_budget,
-        block=block))
+        L, R, entry_budget=table.entry_budget, block=block))
     result = solve_capacity(channel, table.tolerance, table.max_iterations)
     if not result.converged:
         raise SolverNotConvergedError(
@@ -223,7 +221,7 @@ def populate_table(table, *, diagonal_l_max=None):
     todo = [cell for cell in cells if cell not in table.entries
             or table.entries[cell].tolerance > table.tolerance]
     for cell in todo:
-        _check_fixed_cell(*cell, table.l_cap, table.entry_budget)
+        _check_fixed_cell(*cell, table.entry_budget)
     for L, R, block in count_blocks(todo):
         _compute_entry(table, L, R, block)
         del block  # the walk builds the next block without this one

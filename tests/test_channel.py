@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import delcap.bounds
-from delcap import (BitString, ParameterError, ResourceLimitError,
-                    binomial_weight, build_binomial_deletion_channel,
+from delcap import (DEFAULT_ENTRY_BUDGET, BitString, ParameterError,
+                    ResourceLimitError, binomial_weight,
+                    build_binomial_deletion_channel,
                     build_fixed_deletion_channel, dump_channel,
                     embedding_count)
 from delcap.baa import _divergences
@@ -172,6 +173,12 @@ class TestFixedChannel:
             build_fixed_deletion_channel(12, 6, entry_budget=1000)
         with pytest.raises(ParameterError):
             build_fixed_deletion_channel(3, 4)
+        # the cap alone: (23, 2) may need 2^23 * 4 = 2^25 entries, under
+        # the default budget
+        assert (1 << 25) < DEFAULT_ENTRY_BUDGET
+        with pytest.raises(ResourceLimitError,
+                           match=r"^L=23 beyond the block-length cap 22$"):
+            build_fixed_deletion_channel(23, 2)
 
 
 _cells = st.integers(0, 10).flatmap(

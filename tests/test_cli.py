@@ -1,7 +1,9 @@
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
                     d_grid, dump_channel, load_table, populate_table,
                     resolve_l_max, save_table)
 from delcap.channel import _binomial_structure
-from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, main
+from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, build_parser, main
 
 from reference_values import F_REFERENCE, bracket_matches_reference
 
@@ -445,14 +447,6 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage(self, capsys, jobs):
-        code, out, err = run_cli(capsys, "sweep", "--kind", "c4", "--L", "4",
-                                 "--jobs", jobs)
-        assert code == 1
-        assert out == ""
-        assert "--jobs" in err
-
     def test_entry_budget_refusal(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--kind", "c4", "--L", "10",
                                  "--d", "0.5", "--entry-budget", "1000")
@@ -479,3 +473,23 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1] == "erasure,,0.25,0.75,upper,0.005"
+
+
+def readme_commands():
+    """The `delcap ...` lines of README's "Command line" block, comments
+    stripped, as argument lists."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("delcap ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        # argparse exits on a flag no subparser defines
+        parser.parse_args(argv)

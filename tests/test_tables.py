@@ -220,6 +220,17 @@ class TestPopulate:
         assert all(entry.source == SOURCE_CLOSED
                    for entry in table.entries.values())
 
+    def test_diagonal_past_cap_refused_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(delcap.tables, "solve_capacity",
+                            lambda *a, **k: solves.append(a))
+        # every diagonal cell up to (23, 22) fits the default entry budget
+        table = CoefficientTable(l_max=2)
+        with pytest.raises(ResourceLimitError,
+                           match=r"^L=23 beyond the block-length cap 22$"):
+            populate_table(table, diagonal_l_max=23)
+        assert solves == []
+
     def test_diagonal_extension(self):
         table = populate_table(CoefficientTable(l_max=4), diagonal_l_max=6)
         assert (5, 4) in table.entries and (6, 5) in table.entries
