@@ -497,42 +497,28 @@ def conjecture1_report(d, table, *, max_c4_level=6,
     in R. Reported for inspection only; solver brackets make small
     negative slacks possible without meaning anything."""
     _check_probability(d, open_interval=True)
-    reports = []
 
-    c3_values = [bound_c3(L, d, table) for L in range(1, table.l_max + 1)]
-    reports.append(_collect_report(
-        "conjecture1_c3",
-        [({"L": L}, c3_values[L], c3_values[L - 1])
-         for L in range(1, len(c3_values))],
-        combined_tolerance))
+    def trend(family, key, values):
+        # instance {key: i} compares values[i] with values[i - 1]
+        return _collect_report(
+            f"conjecture1_{family}",
+            [({key: i}, values[i], values[i - 1])
+             for i in range(1, len(values))],
+            combined_tolerance)
 
-    c4_values = [bound_c4(L, d, solver_tolerance,
-                          max_iterations=table.max_iterations,
-                          entry_budget=table.entry_budget)
-                 for L in range(1, max_c4_level + 1)]
-    reports.append(_collect_report(
-        "conjecture1_c4",
-        [({"L": L}, c4_values[L], c4_values[L - 1])
-         for L in range(1, len(c4_values))],
-        combined_tolerance))
-
-    c1_values = []
-    for D in range(table.l_max + 1):
-        c1_values.append(bound_c1_star(
-            D, resolve_l_max(table, "c1_star", D=D), d, table))
-    reports.append(_collect_report(
-        "conjecture1_c1_star",
-        [({"D": D}, c1_values[D], c1_values[D - 1])
-         for D in range(1, len(c1_values))],
-        combined_tolerance))
-
-    c2_values = [bound_c2_star(R, resolve_l_max(table, "c2_star", R=R),
-                               d, table)
-                 for R in range(table.l_max + 1)]
-    reports.append(_collect_report(
-        "conjecture1_c2_star",
-        [({"R": R}, c2_values[R], c2_values[R - 1])
-         for R in range(1, len(c2_values))],
-        combined_tolerance))
-
-    return reports
+    # c3 and c4 start at L=1, so their {"L": L} compares L+1 with L;
+    # c1_star and c2_star start at 0, so {"D": D} compares D with D-1
+    return [
+        trend("c3", "L", [bound_c3(L, d, table)
+                          for L in range(1, table.l_max + 1)]),
+        trend("c4", "L", [bound_c4(L, d, solver_tolerance,
+                                   max_iterations=table.max_iterations,
+                                   entry_budget=table.entry_budget)
+                          for L in range(1, max_c4_level + 1)]),
+        trend("c1_star", "D", [bound_c1_star(
+            D, resolve_l_max(table, "c1_star", D=D), d, table)
+            for D in range(table.l_max + 1)]),
+        trend("c2_star", "R", [bound_c2_star(
+            R, resolve_l_max(table, "c2_star", R=R), d, table)
+            for R in range(table.l_max + 1)]),
+    ]

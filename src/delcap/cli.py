@@ -131,11 +131,6 @@ def build_parser():
     return parser
 
 
-def _usage(message):
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _gate_long(config, value, what):
     if value > LONG_RUN_LIMIT and not config.allow_long:
         raise ParameterError(
@@ -206,7 +201,7 @@ def _run_table(config):
     else:
         diag = l_max
     if diag < l_max:
-        return _usage("--diag-l-max must be at least --l-max")
+        raise ParameterError("--diag-l-max must be at least --l-max")
     _gate_long(config, diag, "l_max")
     table, _ = _open_table(config)
     _reserve(config, table, l_max)
@@ -268,9 +263,10 @@ def _plan_specs(config, table, depth):
 
 def _run_bound(config):
     if config.kind == "best":
-        return _usage("--kind best is available in sweep only")
+        raise ParameterError("--kind best is available in sweep only")
     if config.kind == "c1_star" and config.D is None:
-        return _usage("--kind c1_star needs --D here; only sweeps may omit it")
+        raise ParameterError(
+            "--kind c1_star needs --D here; only sweeps may omit it")
     table, depth = _open_table(config)
     (spec,) = _plan_specs(config, table, depth)
     value = evaluate_bound(spec, config.d, table)
@@ -326,7 +322,7 @@ def _run_sweep(config):
 
 def _run_limits(config):
     if config.L is None and config.R is None:
-        return _usage("limits needs --L and/or --R")
+        raise ParameterError("limits needs --L and/or --R")
     table, depth = _open_table(config)
     tol = config.solver_tolerance
     rows = []

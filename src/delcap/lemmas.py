@@ -5,19 +5,22 @@ table certifies with two-sided brackets. Each side is evaluated at its
 conservative end (left as low as the bracket allows, right as high), so
 the measured slack upper-bounds the true slack and a negative measurement
 past the combined tolerance is a genuine violation, never solver noise.
-Instances whose cells fall outside the populated range are skipped, not
-guessed.
+
+Each check is a formula: its instances (parameter dicts) and one function
+that returns (left, right) at an instance, reading cells through
+f_value. The skip rule is stated once: an instance that reads a cell
+past the populated range (f_value raises ExtrapolationRequiredError) is
+counted as skipped, not guessed.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ExtrapolationRequiredError, ParameterError
-from .tables import _top_level, f_value
+from .tables import _top_level, alpha, f_value
 
 DEFAULT_COMBINED_TOLERANCE = 1e-9
-
-LEMMA_IDS = ("L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9")
 
 
 def binary_entropy(x):
@@ -58,162 +61,150 @@ class LemmaReport:
                 f" min_slack={self.min_slack!r}")
 
 
-class _Resolver:
-    """Bracket lookups that skip (return None) outside the table."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def f(self, L, R, side):
-        try:
-            return f_value(L, R, self.table, side)
-        except ExtrapolationRequiredError:
-            return None
-
-    def alpha_low(self, L, R):
-        f_hi = self.f(L, R, "upper")
-        return None if f_hi is None else max(0.0, R - f_hi)
-
-    def alpha_high(self, L, R):
-        f_lo = self.f(L, R, "lower")
-        return None if f_lo is None else R - f_lo
+def _gap_high(L, R, table):
+    # the gap's certified-upper side, unclamped: R - f_lower can dip
+    # below zero on a tampered cell, and the check must see it
+    return R - f_value(L, R, table, "lower")
 
 
-def _lemma1(res, emit):
+def _gap_mid(L, R, table):
+    return (alpha(L, R, table, "lower") + _gap_high(L, R, table)) / 2.0
+
+
+def _entropy_step(L):
+    return 1.0 - 1.0 / (L + 1) - binary_entropy(1.0 / (L + 1))
+
+
+# instance sets, each drawn from the deepest level the table serves
+def _cells(top):
+    return ({"L": L, "R": R} for L in range(top) for R in range(L + 1))
+
+
+def _deletions(top, first):
+    return ({"L": L, "D": D}
+            for L in range(first, top) for D in range(first, L + 1))
+
+
+def _multiples(top):
+    return ({"L": L, "n": n}
+            for L in range(1, top + 1) for n in range(2, top // L + 1))
+
+
+def _steps(top):
+    return ({"L": L} for L in range(1, top))
+
+
+def _parts(top, parts):
+    return ({"L": L, "part": part} for L in range(1, top) for part in parts)
+
+
+def _lemma1(table, L, R):
     # f(L+1, R) <= f(L, R): extra input bits never help at fixed outputs
-    for L in range(_top_level(res.table)):
-        for R in range(L + 1):
-            left = res.f(L + 1, R, "lower")
-            right = res.f(L, R, "upper")
-            emit({"L": L, "R": R}, left, right)
+    return f_value(L + 1, R, table, "lower"), f_value(L, R, table, "upper")
 
 
-def _lemma2(res, emit):
+def _lemma2(table, L, R):
     # alpha(L, R) <= alpha(L+1, R): the gap never shrinks with length
-    for L in range(_top_level(res.table)):
-        for R in range(L + 1):
-            emit({"L": L, "R": R},
-                 res.alpha_low(L, R), res.alpha_high(L + 1, R))
+    return alpha(L, R, table, "lower"), _gap_high(L + 1, R, table)
 
 
-def _lemma3(res, emit):
+def _lemma3(table, L, D):
     # one more bit and the same deletion count: conditioning on whether
     # the new bit survives splits f~(L+1, D) between the two neighbours
-    for L in range(1, _top_level(res.table)):
-        for D in range(1, L + 1):
-            left = res.f(L + 1, L + 1 - D, "lower")
-            a = res.f(L, L - D + 1, "upper")
-            b = res.f(L, L - D, "upper")
-            if left is None or a is None or b is None:
-                emit({"L": L, "D": D}, None, None)
-                continue
-            ratio = D / (L + 1)
-            emit({"L": L, "D": D}, left, a * ratio + (b + 1.0) * (1.0 - ratio))
+    left = f_value(L + 1, L + 1 - D, table, "lower")
+    a = f_value(L, L - D + 1, table, "upper")
+    b = f_value(L, L - D, table, "upper")
+    ratio = D / (L + 1)
+    return left, a * ratio + (b + 1.0) * (1.0 - ratio)
 
 
-def _lemma4(res, emit):
+def _lemma4(table, L, D):
     # alpha~(L+1, D) >= alpha~(L, D) (1 - D/(L+1))
-    for L in range(_top_level(res.table)):
-        for D in range(L + 1):
-            low = res.alpha_low(L, L - D)
-            high = res.alpha_high(L + 1, L + 1 - D)
-            if low is None or high is None:
-                emit({"L": L, "D": D}, None, None)
-                continue
-            emit({"L": L, "D": D}, low * (1.0 - D / (L + 1)), high)
+    return (alpha(L, L - D, table, "lower") * (1.0 - D / (L + 1)),
+            _gap_high(L + 1, L + 1 - D, table))
 
 
-def _multiples(res):
-    top = _top_level(res.table)
-    for L in range(1, top + 1):
-        for n in range(2, top // L + 1):
-            yield L, n
-
-
-def _lemma5(res, emit):
+def _lemma5(table, L, n):
     # f~(nL, 1) <= f~(L, 1) + (n-1) L: chopping a long block into n
     # pieces loses at most the one deletion's worth of alignment
-    for L, n in _multiples(res):
-        left = res.f(n * L, n * L - 1, "lower")
-        right = res.f(L, L - 1, "upper")
-        if left is None or right is None:
-            emit({"L": L, "n": n}, None, None)
-            continue
-        emit({"L": L, "n": n}, left, right + (n - 1) * L)
+    return (f_value(n * L, n * L - 1, table, "lower"),
+            f_value(L, L - 1, table, "upper") + (n - 1) * L)
 
 
-def _lemma6(res, emit):
+def _lemma6(table, L, n):
     # alpha~(nL, 1) >= alpha~(L, 1)
-    for L, n in _multiples(res):
-        emit({"L": L, "n": n},
-             res.alpha_low(L, L - 1), res.alpha_high(n * L, n * L - 1))
+    return alpha(L, L - 1, table, "lower"), _gap_high(n * L, n * L - 1, table)
 
 
-def _lemma7(res, emit):
+def _lemma7(table, L):
     # f~(L+1, 1) >= f~(L, 1) + 1 - 1/(L+1) - h(1/(L+1))
-    for L in range(1, _top_level(res.table)):
-        base = res.f(L, L - 1, "lower")
-        nxt = res.f(L + 1, L, "upper")
-        if base is None or nxt is None:
-            emit({"L": L}, None, None)
-            continue
-        step = 1.0 - 1.0 / (L + 1) - binary_entropy(1.0 / (L + 1))
-        emit({"L": L}, base + step, nxt)
+    return (f_value(L, L - 1, table, "lower") + _entropy_step(L),
+            f_value(L + 1, L, table, "upper"))
 
 
-def _lemma8(res, emit):
+def _lemma8(table, L, part):
     # single-deletion gap grows, but by less than the entropy of where
     # the deletion landed
-    for L in range(1, _top_level(res.table)):
-        low_now = res.alpha_low(L, L - 1)
-        high_now = res.alpha_high(L, L - 1)
-        low_next = res.alpha_low(L + 1, L)
-        high_next = res.alpha_high(L + 1, L)
-        if None in (low_now, high_now, low_next, high_next):
-            emit({"L": L, "part": "ratio_lower"}, None, None)
-            emit({"L": L, "part": "additive_upper"}, None, None)
-            continue
-        emit({"L": L, "part": "ratio_lower"},
-             low_now * (1.0 - 1.0 / (L + 1)), high_next)
-        growth = 1.0 / (L + 1) + binary_entropy(1.0 / (L + 1))
-        emit({"L": L, "part": "additive_upper"}, low_next, high_now + growth)
+    if part == "ratio_lower":
+        return (alpha(L, L - 1, table, "lower") * (1.0 - 1.0 / (L + 1)),
+                _gap_high(L + 1, L, table))
+    growth = 1.0 / (L + 1) + binary_entropy(1.0 / (L + 1))
+    return alpha(L + 1, L, table, "lower"), _gap_high(L, L - 1, table) + growth
 
 
-def _lemma9(res, emit):
+def _lemma9(table, L, part):
     # both sides of the increment f~(L+1, 1) - f~(L, 1)
-    for L in range(1, _top_level(res.table)):
-        lo_now = res.f(L, L - 1, "lower")
-        hi_now = res.f(L, L - 1, "upper")
-        lo_next = res.f(L + 1, L, "lower")
-        hi_next = res.f(L + 1, L, "upper")
-        if None in (lo_now, hi_now, lo_next, hi_next):
-            emit({"L": L, "part": "step_lower"}, None, None)
-            emit({"L": L, "part": "step_upper"}, None, None)
-            continue
-        step = 1.0 - 1.0 / (L + 1) - binary_entropy(1.0 / (L + 1))
-        emit({"L": L, "part": "step_lower"}, step, hi_next - lo_now)
-        emit({"L": L, "part": "step_upper"},
-             lo_next - hi_now, 1.0 + (L - 1.0 - lo_now) / (L + 1))
+    lo_now = f_value(L, L - 1, table, "lower")
+    if part == "step_lower":
+        return _entropy_step(L), f_value(L + 1, L, table, "upper") - lo_now
+    hi_now = f_value(L, L - 1, table, "upper")
+    return (f_value(L + 1, L, table, "lower") - hi_now,
+            1.0 + (L - 1.0 - lo_now) / (L + 1))
 
 
-_BUILDERS = {
-    "L1": _lemma1, "L2": _lemma2, "L3": _lemma3, "L4": _lemma4,
-    "L5": _lemma5, "L6": _lemma6, "L7": _lemma7, "L8": _lemma8,
-    "L9": _lemma9,
+def _conjecture2(table, L):
+    return _gap_mid(L, L - 1, table), _gap_mid(L + 1, L, table)
+
+
+# id -> (instances below a top level, formula giving (left, right) at one)
+_CHECKS = {
+    "L1": (_cells, _lemma1),
+    "L2": (_cells, _lemma2),
+    "L3": (partial(_deletions, first=1), _lemma3),
+    "L4": (partial(_deletions, first=0), _lemma4),
+    "L5": (_multiples, _lemma5),
+    "L6": (_multiples, _lemma6),
+    "L7": (_steps, _lemma7),
+    "L8": (partial(_parts, parts=("ratio_lower", "additive_upper")), _lemma8),
+    "L9": (partial(_parts, parts=("step_lower", "step_upper")), _lemma9),
 }
+
+LEMMA_IDS = tuple(_CHECKS)
+
+
+def _rows(table, instances, formula):
+    """(parameters, left, right) at each instance, or None at one that
+    reads a cell past the table: the one place the skip rule lives."""
+    for parameters in instances(_top_level(table)):
+        try:
+            left, right = formula(table, **parameters)
+        except ExtrapolationRequiredError:
+            yield None
+            continue
+        yield parameters, left, right
 
 
 def _collect_report(report_id, rows, combined_tolerance):
-    """LemmaReport over (parameters, left, right) rows: a row missing a
-    side (None) is skipped, and a slack below -combined_tolerance is a
+    """LemmaReport over (parameters, left, right) rows: a None row is a
+    skipped instance, and a slack below -combined_tolerance is a
     violation."""
     checked, violations = [], []
     skipped = 0
-    for parameters, left, right in rows:
-        if left is None or right is None:
+    for row in rows:
+        if row is None:
             skipped += 1
             continue
-        inst = LemmaInstance(parameters, left, right)
+        inst = LemmaInstance(*row)
         checked.append(inst)
         if inst.slack < -combined_tolerance:
             violations.append(inst)
@@ -222,15 +213,13 @@ def _collect_report(report_id, rows, combined_tolerance):
 
 def verify_lemma(lemma_id, table,
                  combined_tolerance=DEFAULT_COMBINED_TOLERANCE):
-    if lemma_id not in _BUILDERS:
+    if lemma_id not in _CHECKS:
         raise ParameterError(f"unknown lemma id {lemma_id!r}; "
                              f"expected one of {', '.join(LEMMA_IDS)}")
     if combined_tolerance < 0.0:
         raise ParameterError("combined_tolerance must be non-negative")
-    rows = []
-    _BUILDERS[lemma_id](_Resolver(table),
-                        lambda *row: rows.append(row))
-    return _collect_report(lemma_id, rows, combined_tolerance)
+    return _collect_report(lemma_id, _rows(table, *_CHECKS[lemma_id]),
+                           combined_tolerance)
 
 
 def verify_lemma_suite(table, combined_tolerance=DEFAULT_COMBINED_TOLERANCE):
@@ -243,13 +232,5 @@ def conjecture2_report(table, combined_tolerance=DEFAULT_COMBINED_TOLERANCE):
     """Observed (not certified): the midpoint estimate of alpha~(L, 1)
     is non-decreasing in L. Bracket midpoints carry solver error, so a
     small negative slack here is only worth a look, not an alarm."""
-    res = _Resolver(table)
-    rows = []
-    for L in range(1, _top_level(table)):
-        lo_a, hi_a = res.alpha_low(L, L - 1), res.alpha_high(L, L - 1)
-        lo_b, hi_b = res.alpha_low(L + 1, L), res.alpha_high(L + 1, L)
-        if None in (lo_a, hi_a, lo_b, hi_b):
-            rows.append(({"L": L}, None, None))
-        else:
-            rows.append(({"L": L}, (lo_a + hi_a) / 2.0, (lo_b + hi_b) / 2.0))
-    return _collect_report("conjecture2", rows, combined_tolerance)
+    return _collect_report("conjecture2", _rows(table, _steps, _conjecture2),
+                           combined_tolerance)

@@ -13,6 +13,29 @@ def small_table(l_max=5, **kwargs):
     return populate_table(CoefficientTable(l_max=l_max), **kwargs)
 
 
+def counts(table):
+    """(instances, skipped, violations) per check, conjecture2 included."""
+    reports = verify_lemma_suite(table) + [conjecture2_report(table)]
+    return {r.lemma_id: (len(r.checked_instances), r.skipped,
+                         len(r.violations)) for r in reports}
+
+
+# an instance is skipped when it reads a cell past the table; only the
+# checks over whole rows (L1..L4) reach past the diagonal
+DEFAULT_COUNTS = {
+    "L1": (84, 21, 0), "L2": (84, 21, 0), "L3": (70, 21, 0),
+    "L4": (84, 21, 0), "L5": (27, 0, 0), "L6": (27, 0, 0),
+    "L7": (13, 0, 0), "L8": (26, 0, 0), "L9": (26, 0, 0),
+    "conjecture2": (13, 0, 0),
+}
+PARTIAL_COUNTS = {  # l_max=5, diagonal to 7
+    "L1": (21, 7, 0), "L2": (21, 7, 0), "L3": (14, 7, 0),
+    "L4": (21, 7, 0), "L5": (9, 0, 0), "L6": (9, 0, 0),
+    "L7": (6, 0, 0), "L8": (12, 0, 0), "L9": (12, 0, 0),
+    "conjecture2": (6, 0, 0),
+}
+
+
 class TestBinaryEntropy:
     def test_known_values(self):
         assert binary_entropy(0.0) == 0.0
@@ -38,13 +61,8 @@ class TestSuite:
             assert report.min_slack >= -1e-9
 
     def test_clean_on_default_table(self, default_table):
-        reports = verify_lemma_suite(default_table)
-        assert all(not r.violations for r in reports)
-        by_id = {r.lemma_id: r for r in reports}
         # full grid to 12 plus the single-deletion diagonal to 14
-        assert len(by_id["L1"].checked_instances) == 84
-        assert by_id["L1"].skipped == 21
-        assert by_id["L5"].skipped == 0
+        assert counts(default_table) == DEFAULT_COUNTS
 
     def test_diagonal_extension_skips_unresolved_cells(self):
         table = populate_table(CoefficientTable(l_max=4), diagonal_l_max=6)
@@ -52,6 +70,7 @@ class TestSuite:
         assert reports["L1"].skipped > 0
         assert reports["L3"].skipped > 0
         assert all(not r.violations for r in reports.values())
+        assert counts(small_table(diagonal_l_max=7)) == PARTIAL_COUNTS
 
     def test_two_part_checks_label_their_parts(self, default_table):
         for lemma_id, parts in (("L8", {"ratio_lower", "additive_upper"}),
@@ -77,6 +96,17 @@ class TestViolationDetection:
         assert worst.parameters == {"L": 4, "R": 2}
         assert worst.slack < 0.0
         assert report.min_slack == worst.slack
+
+    def test_gap_upper_side_is_not_clamped(self):
+        # f_lower above R puts the gap's upper side below zero; clamping
+        # it at zero would hide part of the inconsistency
+        table = small_table()
+        table.entries[(5, 3)] = TableEntry(3.5, 3.6, 0.0, SOURCE_BAA)
+        report = verify_lemma("L2", table)
+        (inst,) = [inst for inst in report.checked_instances
+                   if inst.parameters == {"L": 4, "R": 3}]
+        assert inst.right_side == -0.5
+        assert inst in report.violations
 
     def test_tolerance_gates_the_alarm(self):
         table = self.tampered()

@@ -6,7 +6,9 @@ L=17 jobs (c4, lower bound) 20 s and 12 s at about 1.8 GB, most of it
 the folded L=17 binomial store.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
-their values repeat the frozen desk-scale references at full depth.
+their values repeat the frozen desk-scale references at full depth. They
+run at the default entry budget, so they also check that it admits every
+deep channel they build.
 """
 
 import pytest
@@ -23,12 +25,10 @@ from reference_values import (ALPHA_TILDE_DIAGONAL, C4_L17_D050,
 
 pytestmark = pytest.mark.longrun
 
-DEEP_BUDGET = 1 << 31
-
 
 @pytest.fixture(scope="module")
 def deep_table():
-    table = CoefficientTable(l_max=12, entry_budget=DEEP_BUDGET)
+    table = CoefficientTable(l_max=12)
     return populate_table(table, diagonal_l_max=22)
 
 
@@ -40,8 +40,7 @@ def test_single_deletion_gap_row_deep(deep_table):
         assert lo <= reference + 0.01
         assert hi >= reference - 0.01
         # a tight bracket lies inside the rounded-down window
-        channel = orbit_channel(build_fixed_deletion_channel(
-            L, L - 1, entry_budget=DEEP_BUDGET))
+        channel = orbit_channel(build_fixed_deletion_channel(L, L - 1))
         result = solve_capacity(channel, 1e-4)
         assert result.converged
         lo, hi = (L - 1) - result.capacity_upper, (L - 1) - result.capacity_lower
@@ -57,21 +56,21 @@ def test_small_d_slope_deep(deep_table):
 
 
 def test_c4_reproduction_at_midpoint():
-    value = bound_c4(17, 0.5, entry_budget=DEEP_BUDGET)
+    value = bound_c4(17, 0.5)
     assert value == pytest.approx(C4_L17_D050, abs=1.5e-3)
 
 
 def test_lower_bound_reproduction():
-    iud = lower_bound(17, 0.10, "iud", entry_budget=DEEP_BUDGET)
+    iud = lower_bound(17, 0.10, "iud")
     assert iud == pytest.approx(LOWER_L17[(0.10, "iud")], abs=5e-3)
-    optimized = lower_bound(17, 0.01, "optimized", entry_budget=DEEP_BUDGET)
+    optimized = lower_bound(17, 0.01, "optimized")
     assert optimized == pytest.approx(LOWER_L17[(0.01, "optimized")], abs=5e-3)
 
 
 def test_large_d_ratio_deep():
     # one off-diagonal deep cell; solved on demand rather than via the
     # full level-17 grid, which would dwarf everything else here
-    table = CoefficientTable(l_max=17, entry_budget=DEEP_BUDGET)
+    table = CoefficientTable(l_max=17)
     f_value(17, 8, table, "lower")
     ratio = limit_large_d_c2(8, 17, table)
     assert ratio == pytest.approx(LARGE_D_RATIO_R8_L17, abs=0.01)
