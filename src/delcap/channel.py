@@ -30,16 +30,17 @@ certifies the same capacity.
 
 Both families fold alike, one output length at a time (_fold_length):
 integer embedding counts C on the orbits, times one weight per output
-length, M = C diag(w), which the solver applies to vectors. A fixed
-cell (L, R) is the fold at r = R of its block's representative rows.
-The binomial store (_binomial_orbit_store) folds every length r once
-per L and is shared by every d; it takes each representative's rows
-from the count blocks of level L - 1, so neither the level-L blocks nor
-the skeleton are built. orbit_stack lays the weights of several d over
-the store as one stack, which the solver solves in one pass. A
-SparseChannel of either family forms probs on first read (row,
-dump_channel, validate, a solve on the full channel), and a binomial
-one forms its skeleton arrays then too; orbit_channel reads neither.
+length, M = C diag(w), which the solver applies to vectors. One walk
+(_cell_folds) folds a list of cells (L, R): it takes each
+representative's length-R row from two count blocks of level L - 1, so
+no cell's own block is built. A fixed cell is its fold at r = R. The
+binomial store (_binomial_orbit_store) is the folds of (L, 0), ...,
+(L, L) side by side, made once per L and shared by every d, so the
+skeleton is never built either. orbit_stack lays the weights of several
+d over the store as one stack, which the solver solves in one pass. A
+SparseChannel of either family forms its count arrays and probs on
+first read (row, dump_channel, validate, a solve on the full channel);
+orbit_channel reads neither.
 """
 
 import math
@@ -58,10 +59,11 @@ L_CAP = 22
 DEFAULT_ENTRY_BUDGET = 1 << 28
 
 
-# fields a SparseChannel may leave None, formed on first read: probs in
-# either family, and the skeleton arrays of a binomial channel
-_LAZY_FIELDS = ("indptr", "indices", "probs", "output_lengths",
-                "output_values")
+# fields a SparseChannel of each family leaves None, formed on first read:
+# a fixed cell's count block and a binomial channel's skeleton, and probs
+_FIXED_LAZY = ("indptr", "indices", "exact_numerators", "probs")
+_BINOMIAL_LAZY = ("indptr", "indices", "output_lengths", "output_values",
+                  "probs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +82,22 @@ class SparseChannel:
     # which scales the count skeleton of this input length; the skeleton's
     # arrays and probs are None until something reads them
     length_weights: np.ndarray | None = None
+    # fixed family: the cell's fold, when a walk made it (see _cell_folds)
+    _fold: tuple | None = None
+
+    def _lazy_fields(self):
+        if self.length_weights is not None:
+            return _BINOMIAL_LAZY
+        return _FIXED_LAZY if self.exact_denominator is not None else ()
 
     def __post_init__(self):
-        for name in _LAZY_FIELDS:
+        for name in self._lazy_fields():
             if getattr(self, name) is None:  # left to __getattr__
                 object.__delattr__(self, name)
 
     def __getattr__(self, name):
         # normal lookup fails only for fields that are not formed yet
-        if name not in _LAZY_FIELDS:
+        if name not in self._lazy_fields():
             raise AttributeError(name)
         if name == "probs":
             if self.length_weights is None:  # fixed family: exact rationals
@@ -99,11 +108,17 @@ class SparseChannel:
                              self.output_lengths[self.indices]])
             object.__setattr__(self, name, value)
             return value
-        indptr, indices, _, lengths, values = _binomial_structure(
-            self.input_length)
-        for field, value in (("indptr", indptr), ("indices", indices),
-                             ("output_lengths", lengths),
-                             ("output_values", values)):
+        if self.length_weights is None:
+            [(_, _, block)] = count_blocks(
+                [(self.input_length, int(self.output_lengths[0]))])
+            formed = (("indptr", block.indptr), ("indices", block.indices),
+                      ("exact_numerators", block.data))
+        else:
+            indptr, indices, _, lengths, values = _binomial_structure(
+                self.input_length)
+            formed = (("indptr", indptr), ("indices", indices),
+                      ("output_lengths", lengths), ("output_values", values))
+        for field, value in formed:
             object.__setattr__(self, field, value)
         return getattr(self, name)
 
@@ -117,9 +132,12 @@ class SparseChannel:
 
     @property
     def entry_count(self):
-        if self.length_weights is None:
-            return len(self.indices)
-        return _skeleton_entries(self.input_length)
+        if self.length_weights is not None:
+            return _skeleton_entries(self.input_length)
+        if self.exact_denominator is not None:
+            return block_entries(self.input_length,
+                                 int(self.output_lengths[0]))
+        return len(self.indices)
 
     @property
     def input_sizes(self):
@@ -178,6 +196,12 @@ class SparseChannel:
         if self.exact_numerators is not None:
             totals = np.add.reduceat(self.exact_numerators, self.indptr[:-1])
             assert np.all(totals == self.exact_denominator), "rational rows off"
+
+
+# A dataclass default is also a class attribute, which normal lookup would
+# return for the deleted field before __getattr__ runs; __init__ keeps its
+# own copy of the default.
+del SparseChannel.exact_numerators
 
 
 def _stack_twice(block, shift, width):
@@ -255,26 +279,26 @@ def _check_fixed_cell(L, R, entry_budget):
 
 
 def build_fixed_deletion_channel(L, R, *, entry_budget=DEFAULT_ENTRY_BUDGET,
-                                 block=None):
+                                 fold=None):
     """Channel that deletes exactly L - R bits, uniformly over patterns.
 
     P(b | a) = embedding_count(a, b) / C(L, L - R); every row is a list of
     exact rationals over the common denominator and sums to one exactly.
-    The channel holds the int32 arrays of block, the cell's count block
-    from a count_blocks walk, or of its own walk to the cell.
+    The channel forms its int32 count block from its own walk on first
+    read. It holds fold, the cell's fold from a _cell_folds walk, for
+    orbit_channel, which otherwise folds the cell from a walk of its own.
     """
     _check_fixed_cell(L, R, entry_budget)
-    if block is None:
-        [(_, _, block)] = count_blocks([(L, R)])
     return SparseChannel(
-        indptr=block.indptr,
-        indices=block.indices,
+        indptr=None,
+        indices=None,
         probs=None,
         input_length=L,
         output_lengths=np.full(1 << R, R, dtype=np.int8),
         output_values=np.arange(1 << R, dtype=np.int64),
-        exact_numerators=block.data,
+        exact_numerators=None,
         exact_denominator=math.comb(L, L - R),
+        _fold=fold,
     )
 
 
@@ -411,60 +435,78 @@ def _fold_length(r, rows):
 
 
 def _stack_folds(L, folds):
-    """The folded store from the per-length folds {r: _fold_length(r,
-    ...)}: (C, C transposed, H, the output length of each column,
-    representatives, input_sizes, output_sizes). Output orbits are
-    numbered length by length, shortest first."""
+    """The folded store from the folds of cells (L, r), r ascending, as
+    _cell_folds yields them: (C, C transposed, H, the output length of
+    each column, representatives, input_sizes, output_sizes). Output
+    orbits are numbered length by length, shortest first. Each part is
+    transposed as it comes and the transposes stack vertically into C
+    transposed, so the parts, C and C transposed are never all held at
+    once; a single part is C as it stands."""
     _, representatives, input_sizes = _label_orbits(L)
-    parts, columns, sizes = zip(*folds.values())
-    # a fixed cell's one part is C as it stands; hstack would copy it
-    matrix = (parts[0] if len(parts) == 1
-              else sparse.hstack(parts, format="csr"))
     h = np.zeros((len(representatives), L + 1))
-    h[:, list(folds)] = np.column_stack(columns)
-    column_lengths = np.repeat(np.array(list(folds), dtype=np.int8),
+    lengths, sizes, pieces = [], [], []
+    for _, r, (part, column, part_sizes) in folds:
+        pieces.append(part.T.tocsr())
+        h[:, r] = column
+        lengths.append(r)
+        sizes.append(part_sizes)
+    if len(pieces) == 1:
+        matrix, matrix_t = part, pieces[0]
+    else:
+        matrix_t = sparse.vstack(pieces, format="csr")
+        del pieces
+        matrix = matrix_t.T.tocsr()
+    column_lengths = np.repeat(np.array(lengths, dtype=np.int8),
                                [len(s) for s in sizes])
-    return (matrix, matrix.T.tocsr(), h, column_lengths, representatives,
+    return (matrix, matrix_t, h, column_lengths, representatives,
             input_sizes.astype(np.float64), np.concatenate(sizes))
 
 
-def _fold_cell(channel):
-    """The folded store of a fixed-deletion cell (L, R): the fold at r = R
-    of its block's representative rows."""
-    L, R = channel.input_length, int(channel.output_lengths[0])
-    block = sparse.csr_array(
-        (channel.exact_numerators, channel.indices, channel.indptr),
-        shape=(channel.input_count, channel.output_count))
-    _, representatives, _ = _label_orbits(L)
-    return _stack_folds(L, {R: _fold_length(R, block[representatives])})
+def _widened(rows, r):
+    """Rows of a block (l, r-1) as counts into the length-r outputs: their
+    columns keep their values, those of the outputs with a leading 0."""
+    return sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                            shape=(rows.shape[0], 1 << r))
+
+
+def _cell_folds(cells):
+    """Folds of the given (L, R) cells, _fold_length(R, the cell's
+    representative rows), yielded as (L, R, fold) in ascending order
+    from one count_blocks walk over the level below the cells.
+
+    A representative x is at most its complement, so x = 0.A with A of
+    x's value, and the leading-bit recursion makes x's length-R row the
+    sum of row A of block (L-1, R-1), widened (_widened) because the
+    leading output bit is the consumed 0, and row A of block (L-1, R).
+    R = 0 and R = L take one of the two; cell (0, 0), with no level
+    below, is the single count 1.
+    """
+    cells = set(cells)
+    if (0, 0) in cells:
+        yield 0, 0, _fold_length(
+            0, sparse.csr_array(np.ones((1, 1), dtype=np.int32)))
+    below = {(L - 1, r) for L, R in cells if L
+             for r in (R - 1, R) if 0 <= r < L}
+    # rows of the block the walk yielded last: (L-1, R-1) when (L-1, R)
+    # comes next, since both are in the walk
+    previous = None
+    for l, r, block in count_blocks(below):
+        _, representatives, _ = _label_orbits(l + 1)
+        rows = block[representatives]
+        del block  # the walk builds the next block without this one
+        if (l + 1, r) in cells:
+            yield l + 1, r, _fold_length(
+                r, rows if r == 0 else rows + _widened(previous, r))
+        if r == l and (l + 1, l + 1) in cells:
+            yield l + 1, l + 1, _fold_length(l + 1, _widened(rows, l + 1))
+        previous = rows
 
 
 @cache
 def _binomial_orbit_store(L):
-    """The binomial skeleton of block length L, folded once for every d,
-    from the count blocks of level L - 1.
-
-    A representative x is at most its complement, so x = 0.A with A of
-    x's value, and the leading-bit recursion makes x's length-r row the
-    sum of row A of block (L-1, r-1), whose columns keep their values
-    because the leading output bit is the consumed 0, and row A of block
-    (L-1, r).
-    """
-    _, representatives, _ = _label_orbits(L)
-
-    def widened(rows, r):  # rows of block (L-1, r-1) as length-r outputs
-        return sparse.csr_array((rows.data, rows.indices, rows.indptr),
-                                shape=(rows.shape[0], 1 << r))
-
-    folds, below = {}, None
-    for _, r, block in count_blocks([(L - 1, r) for r in range(L)]):
-        rows = block[representatives]
-        del block  # the walk builds the next block without this one
-        folds[r] = _fold_length(
-            r, rows if below is None else rows + widened(below, r))
-        below = rows
-    folds[L] = _fold_length(L, widened(below, L))
-    return _stack_folds(L, folds)
+    """The binomial skeleton of block length L, folded once for every d:
+    the folds of the cells (L, 0), ..., (L, L), stacked."""
+    return _stack_folds(L, _cell_folds([(L, r) for r in range(L + 1)]))
 
 
 def _weigh(L, folded, w):
@@ -488,14 +530,19 @@ def orbit_channel(channel):
     """Fold a fixed-deletion or binomial SparseChannel onto its orbits
     under complement and reversal (see the module docstring). Its weight
     per output length r is 1 / C(L, R) at r = R for a fixed cell, whose
-    counts are folded here uncached (the table solves each cell once),
-    and d^(L-r) (1-d)^r for the binomial family."""
+    fold is the one it holds or one from a walk to the cell alone,
+    uncached (the table solves each cell once), and d^(L-r) (1-d)^r for
+    the binomial family."""
     L = channel.input_length
     if channel.length_weights is not None:
         return _weigh(L, _binomial_orbit_store(L), channel.length_weights)
+    R = int(channel.output_lengths[0])
+    fold = channel._fold
+    if fold is None:
+        [(_, _, fold)] = _cell_folds([(L, R)])
     w = np.zeros(L + 1)
-    w[channel.output_lengths[0]] = 1.0 / channel.exact_denominator
-    return _weigh(L, _fold_cell(channel), w)
+    w[R] = 1.0 / channel.exact_denominator
+    return _weigh(L, _stack_folds(L, [(L, R, fold)]), w)
 
 
 def orbit_stack(channels):

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, solve_capacity
-from .channel import (DEFAULT_ENTRY_BUDGET, _check_fixed_cell,
-                      build_fixed_deletion_channel, count_blocks,
-                      orbit_channel)
+from .channel import (DEFAULT_ENTRY_BUDGET, _cell_folds, _check_fixed_cell,
+                      build_fixed_deletion_channel, orbit_channel)
 from .errors import (ExtrapolationRequiredError, ParameterError,
                      SolverNotConvergedError, TableChecksumError,
                      TableRowError, TableVersionError)
@@ -99,10 +98,10 @@ def _check_side(side):
         raise ParameterError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-def _compute_entry(table, L, R, block=None):
-    # block: the cell's count block, when a count_blocks walk has built it
+def _compute_entry(table, L, R, fold=None):
+    # fold: the cell's fold, when a _cell_folds walk has made it
     channel = orbit_channel(build_fixed_deletion_channel(
-        L, R, entry_budget=table.entry_budget, block=block))
+        L, R, entry_budget=table.entry_budget, fold=fold))
     result = solve_capacity(channel, table.tolerance, table.max_iterations)
     if not result.converged:
         raise SolverNotConvergedError(
@@ -206,7 +205,7 @@ def extrapolate_tilde_alpha_lemma4(L, D, table, start=None):
 def populate_table(table, *, diagonal_l_max=None):
     """Fill the full grid up to table.l_max, plus the R = L-1 diagonal up
     to diagonal_l_max, solving cells that are missing or were cached at a
-    looser tolerance, each as one count_blocks walk hands out its block
+    looser tolerance, each as one _cell_folds walk hands out its fold
     (every cell is checked against the limits first). Returns the table."""
     if diagonal_l_max is None:
         diagonal_l_max = table.l_max
@@ -222,9 +221,9 @@ def populate_table(table, *, diagonal_l_max=None):
             or table.entries[cell].tolerance > table.tolerance]
     for cell in todo:
         _check_fixed_cell(*cell, table.entry_budget)
-    for L, R, block in count_blocks(todo):
-        _compute_entry(table, L, R, block)
-        del block  # the walk builds the next block without this one
+    for L, R, fold in _cell_folds(todo):
+        _compute_entry(table, L, R, fold)
+        del fold  # the walk folds the next cell without this one
     return table
 
 

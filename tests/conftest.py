@@ -9,7 +9,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--run-long", action="store_true", default=False,
         help="run the long reproduction jobs (deep tables and L=17; all"
-             " five take about 42 s at about 1.9 GB on 2 cores)")
+             " five take about 33 s at about 1.5 GB on 2 cores)")
 
 
 def pytest_collection_modifyitems(config, items):

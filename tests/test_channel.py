@@ -15,8 +15,8 @@ from delcap import (DEFAULT_ENTRY_BUDGET, BitString, ParameterError,
                     embedding_count)
 from delcap.baa import _divergences
 from delcap.channel import (_binomial_orbit_store, _binomial_structure,
-                            _fold_cell, _label_orbits, block_entries,
-                            count_blocks, orbit_channel)
+                            _cell_folds, _label_orbits, _stack_folds,
+                            block_entries, count_blocks, orbit_channel)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -207,13 +207,21 @@ class TestCountWalk:
             assert block_entries(L, r) == block.nnz, (L, r)
         assert sum(block_entries(12, r) for r in range(13)) == 1058786
 
-    def test_fixed_channel_holds_the_walked_block(self):
+    def test_fixed_channel_forms_its_block_on_first_read(self):
+        [(_, _, fold)] = _cell_folds([(6, 4)])
+        channel = build_fixed_deletion_channel(6, 4, fold=fold)
+        assert channel.entry_count == block_entries(6, 4)
+        for name in ("indptr", "indices", "exact_numerators", "probs"):
+            assert name not in vars(channel)
+        assert orbit_channel(channel)._matrix is fold[0]
+        assert "indptr" not in vars(channel)
         [(_, _, block)] = count_blocks([(6, 4)])
-        channel = build_fixed_deletion_channel(6, 4, block=block)
-        assert channel.indptr is block.indptr
-        assert channel.indices is block.indices
-        assert channel.exact_numerators is block.data
-        assert "probs" not in vars(channel)
+        for field, name in (("indptr", "indptr"), ("indices", "indices"),
+                            ("exact_numerators", "data")):
+            got, want = getattr(channel, field), getattr(block, name)
+            assert got.dtype == want.dtype == np.int32
+            assert np.array_equal(got, want), field
+        assert channel.entry_count == len(channel.indices)
         assert np.array_equal(channel.probs, block.data / math.comb(6, 2))
         channel.validate()
 
@@ -417,14 +425,19 @@ class TestOrbitChannel:
                           eager_fold(L, *_binomial_structure(L)))
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 11).flatmap(
-        lambda L: st.tuples(st.just(L), st.integers(0, L))))
-    def test_cell_fold_equals_eager_fold(self, cell):
-        channel = build_fixed_deletion_channel(*cell)
-        assert_same_store(_fold_cell(channel), eager_fold(
-            cell[0], channel.indptr, channel.indices,
-            channel.exact_numerators, channel.output_lengths,
-            channel.output_values))
+    @given(st.lists(_cells, min_size=1, max_size=8))
+    @example([(0, 0), (1, 0), (1, 1)])  # L = 0 and 1, R = 0 and R = L
+    @example([(L, L - 1) for L in range(3, 11)])  # a diagonal alone
+    @example([(10, 2), (10, 9)])  # a gap in the band of every level
+    @example([(7, 0), (7, 7), (8, 8), (8, 3), (8, 3)])
+    def test_cell_folds_equal_eager_fold(self, cells):
+        folds = list(_cell_folds(cells))
+        assert [(L, R) for L, R, _ in folds] == sorted(set(cells))
+        for L, R, fold in folds:
+            [(_, _, block)] = count_blocks([(L, R)])
+            assert_same_store(_stack_folds(L, [(L, R, fold)]), eager_fold(
+                L, block.indptr, block.indices, block.data,
+                np.full(1 << R, R, dtype=np.int8), np.arange(1 << R)))
 
     def test_binomial_counts_are_shared_across_d(self):
         a = orbit_channel(build_binomial_deletion_channel(6, 0.2))

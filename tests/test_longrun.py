@@ -1,9 +1,9 @@
 """Deep-block reproduction jobs, hidden behind --run-long for their
 time and memory. Measured on 2 cores with 8 GB, all five pass in about
-42 s at about 1.9 GB. Run alone: the deep-table jobs (diagonal to 22)
-take 14-21 s at 1.1-1.3 GB, the (17, 8) ratio 5 s at 0.6 GB, and the two
-L=17 jobs (c4, lower bound) 20 s and 12 s at about 1.8 GB, most of it
-the folded L=17 binomial store.
+33 s at about 1.5 GB. Run alone: the deep-table jobs (diagonal to 22)
+take about 16 s at 0.9 GB, the (17, 8) ratio 4 s at 0.4 GB, and the two
+L=17 jobs (c4, lower bound) 17 s and 10 s at 1.3-1.4 GB, most of it the
+folded L=17 binomial store.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
 their values repeat the frozen desk-scale references at full depth. They

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import delcap.channel
 import delcap.tables
 from delcap import (CoefficientTable, ExtrapolationRequiredError,
                     ParameterError, ResourceLimitError, TableChecksumError,
@@ -205,6 +206,23 @@ class TestPopulate:
         alone = CoefficientTable(l_max=l_max)
         for (L, R), entry in solved.items():
             assert _compute_entry(alone, L, R) == entry
+
+    def test_walk_stops_one_level_short_of_the_deepest_cell(
+            self, monkeypatch):
+        # each cell is folded from the level below it, so the only level-6
+        # blocks built are the two that fold the diagonal cell (7, 6)
+        yielded = []
+        walk = delcap.channel.count_blocks
+
+        def recorded(cells):
+            for L, R, block in walk(cells):
+                yielded.append((L, R))
+                yield L, R, block
+
+        monkeypatch.setattr(delcap.channel, "count_blocks", recorded)
+        table = populate_table(CoefficientTable(l_max=6), diagonal_l_max=7)
+        assert (7, 6) in table.entries and (6, 4) in table.entries
+        assert {(L, R) for L, R in yielded if L >= 6} == {(6, 5), (6, 6)}
 
     def test_over_budget_cell_refused_before_any_solve(self, monkeypatch):
         solves = []
