@@ -498,27 +498,26 @@ def conjecture1_report(d, table, *, max_c4_level=6,
     negative slacks possible without meaning anything."""
     _check_probability(d, open_interval=True)
 
-    def trend(family, key, values):
-        # instance {key: i} compares values[i] with values[i - 1]
+    def trend(family, key, first, values):
+        # values start at parameter first; each instance is labelled by
+        # the upper end of its pair, the parameter of its left value
         return _collect_report(
             f"conjecture1_{family}",
-            [({key: i}, values[i], values[i - 1])
+            [({key: first + i}, values[i], values[i - 1])
              for i in range(1, len(values))],
             combined_tolerance)
 
-    # c3 and c4 start at L=1, so their {"L": L} compares L+1 with L;
-    # c1_star and c2_star start at 0, so {"D": D} compares D with D-1
     return [
-        trend("c3", "L", [bound_c3(L, d, table)
-                          for L in range(1, table.l_max + 1)]),
-        trend("c4", "L", [bound_c4(L, d, solver_tolerance,
-                                   max_iterations=table.max_iterations,
-                                   entry_budget=table.entry_budget)
-                          for L in range(1, max_c4_level + 1)]),
-        trend("c1_star", "D", [bound_c1_star(
+        trend("c3", "L", 1, [bound_c3(L, d, table)
+                             for L in range(1, table.l_max + 1)]),
+        trend("c4", "L", 1, [bound_c4(L, d, solver_tolerance,
+                                      max_iterations=table.max_iterations,
+                                      entry_budget=table.entry_budget)
+                             for L in range(1, max_c4_level + 1)]),
+        trend("c1_star", "D", 0, [bound_c1_star(
             D, resolve_l_max(table, "c1_star", D=D), d, table)
             for D in range(table.l_max + 1)]),
-        trend("c2_star", "R", [bound_c2_star(
+        trend("c2_star", "R", 0, [bound_c2_star(
             R, resolve_l_max(table, "c2_star", R=R), d, table)
             for R in range(table.l_max + 1)]),
     ]

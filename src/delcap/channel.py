@@ -41,6 +41,13 @@ d over the store as one stack, which the solver solves in one pass. A
 SparseChannel of either family forms its count arrays and probs on
 first read (row, dump_channel, validate, a solve on the full channel);
 orbit_channel reads neither.
+
+Every channel holds one matrix, and the solver's other product runs on
+its transposed view, whose sums take each entry's terms in the same
+order as a copy would. A folded channel holds C^T as CSR, one row per
+output orbit, filled in place as the walk hands over each length's fold
+(_stack_folds), and C is its CSC view. A SparseChannel holds its rows
+as CSR, and its transpose is their CSC view.
 """
 
 import math
@@ -174,7 +181,9 @@ class SparseChannel:
 
     @cached_property
     def _matrix_t(self):
-        return self._matrix.T.tocsr()
+        # the CSC view on the same arrays, which sums each output's terms
+        # in the order a CSR copy would
+        return self._matrix.T
 
     @cached_property
     def _row_plogp(self):
@@ -388,23 +397,30 @@ class OrbitChannel:
 
     A stack (orbit_stack) holds several channels on the same C: w and
     the row term then have one row per channel.
+
+    C^T is the one count matrix held: CSR, one row per output orbit, for
+    q = w ⊙ (C^T r). C is its CSC view on the same arrays, whose product
+    sums each entry's terms in the same order as a CSR copy of C would.
     """
 
-    _matrix: sparse.csr_array    # C, exact counts in float64
-    _matrix_t: sparse.csr_array  # C transposed, for q = w ⊙ (C^T r)
+    _matrix_t: sparse.csr_array  # C^T, exact counts in float64
     _column_weights: np.ndarray  # ([channels,] output orbits) w
     _row_plogp: np.ndarray       # ([channels,] input orbits) row term, nats
     representatives: np.ndarray  # (input orbits,) smallest member of each
     input_sizes: np.ndarray      # (input orbits,) members per input orbit
     output_sizes: np.ndarray     # (output orbits,) members per output orbit
 
+    @cached_property
+    def _matrix(self):
+        return self._matrix_t.T
+
     @property
     def input_count(self):
-        return self._matrix.shape[0]
+        return self._matrix_t.shape[1]
 
     @property
     def entry_count(self):
-        return self._matrix.nnz
+        return self._matrix_t.nnz
 
 
 def _row_sums(values, like):
@@ -434,32 +450,48 @@ def _fold_length(r, rows):
     return part, h, sizes
 
 
+def _append(stacked, values):
+    """Append values to the array stacked in place: resize extends a
+    large buffer without copying it (no view of stacked may exist)."""
+    n = len(stacked)
+    stacked.resize(n + len(values), refcheck=False)
+    stacked[n:] = values
+
+
 def _stack_folds(L, folds):
     """The folded store from the folds of cells (L, r), r ascending, as
-    _cell_folds yields them: (C, C transposed, H, the output length of
-    each column, representatives, input_sizes, output_sizes). Output
-    orbits are numbered length by length, shortest first. Each part is
-    transposed as it comes and the transposes stack vertically into C
-    transposed, so the parts, C and C transposed are never all held at
-    once; a single part is C as it stands."""
+    _cell_folds yields them: (C transposed, H, the output length of each
+    column of C, representatives, input_sizes, output_sizes). C
+    transposed is CSR with one row per output orbit, numbered length by
+    length, shortest first. It is filled in place: each part is
+    transposed as it comes, its data and indices are appended (_append),
+    and it is dropped, so no part is held beside a stacked copy."""
     _, representatives, input_sizes = _label_orbits(L)
     h = np.zeros((len(representatives), L + 1))
-    lengths, sizes, pieces = [], [], []
+    lengths, sizes = [], []
+    data = np.empty(0)
+    indices = np.empty(0, dtype=np.int32)
+    indptr = [np.zeros(1, dtype=np.int64)]
     for _, r, (part, column, part_sizes) in folds:
-        pieces.append(part.T.tocsr())
+        part_t = part.T.tocsr()
+        del part
+        indptr.append(part_t.indptr[1:] + np.int64(len(data)))
+        _append(data, part_t.data)
+        _append(indices, part_t.indices)
+        del part_t
         h[:, r] = column
         lengths.append(r)
         sizes.append(part_sizes)
-    if len(pieces) == 1:
-        matrix, matrix_t = part, pieces[0]
-    else:
-        matrix_t = sparse.vstack(pieces, format="csr")
-        del pieces
-        matrix = matrix_t.T.tocsr()
+    indptr = np.concatenate(indptr)
+    if indptr[-1] <= np.iinfo(np.int32).max:  # the indices' dtype
+        indptr = indptr.astype(np.int32)
+    output_sizes = np.concatenate(sizes)
+    matrix_t = sparse.csr_array((data, indices, indptr), shape=(
+        len(output_sizes), len(representatives)))
     column_lengths = np.repeat(np.array(lengths, dtype=np.int8),
                                [len(s) for s in sizes])
-    return (matrix, matrix_t, h, column_lengths, representatives,
-            input_sizes.astype(np.float64), np.concatenate(sizes))
+    return (matrix_t, h, column_lengths, representatives,
+            input_sizes.astype(np.float64), output_sizes)
 
 
 def _widened(rows, r):
@@ -512,8 +544,8 @@ def _binomial_orbit_store(L):
 def _weigh(L, folded, w):
     """The OrbitChannel of folded counts under length weights w: one
     row of L + 1 weights, or one row per channel of a stack."""
-    (counts, counts_t, by_length, column_lengths, representatives,
-     input_sizes, output_sizes) = folded
+    (counts_t, by_length, column_lengths, representatives, input_sizes,
+     output_sizes) = folded
     # the row term: H @ w plus sum_r (embeddings of length r) w_r log w_r
     w_log_w = w * np.log(np.where(w > 0.0, w, 1.0))  # 0 log 0 = 0
     embeddings = np.array([math.comb(L, r) for r in range(L + 1)],
@@ -521,7 +553,7 @@ def _weigh(L, folded, w):
     row_term = np.array([by_length @ w_r + embeddings @ w_log_w_r
                          for w_r, w_log_w_r in zip(np.atleast_2d(w),
                                                    np.atleast_2d(w_log_w))])
-    return OrbitChannel(counts, counts_t, w[..., column_lengths],
+    return OrbitChannel(counts_t, w[..., column_lengths],
                         row_term.reshape(w.shape[:-1] + (-1,)),
                         representatives, input_sizes, output_sizes)
 

@@ -96,7 +96,7 @@ def build_parser():
                              " to minutes and up to gigabytes of memory:"
                              " the diagonal to 22 takes about 8 s and"
                              " 0.8 GB; an L=17 c4 solve about 15 s and"
-                             " 1.2 GB)")
+                             " 1.0 GB)")
 
     p_table = sub.add_parser(
         "table", parents=[common],

@@ -8,8 +8,8 @@ from delcap import build_default_table, save_table
 def pytest_addoption(parser):
     parser.addoption(
         "--run-long", action="store_true", default=False,
-        help="run the long reproduction jobs (deep tables and L=17; all"
-             " five take about 33 s at about 1.5 GB on 2 cores)")
+        help="run the long reproduction jobs (deep tables, L=17 and L=18;"
+             " all six take about 90 s at about 3.3 GB on 2 cores)")
 
 
 def pytest_collection_modifyitems(config, items):

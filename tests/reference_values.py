@@ -71,6 +71,9 @@ PRIOR_LARGE_D_LOWER = 0.1185      # published lower bound on C/(1-d) at d->1
 
 # Reference bound values at L=17 (long-run reproduction jobs).
 C4_L17_D050 = 0.212                       # upper bound at d = 0.50
+# c4 at L=18, d = 0.50, as the package computes it at the default solver
+# tolerance; a pin of the deep run, not a published reference
+C4_L18_D050 = 0.209058734084381
 LOWER_L17 = {
     (0.01, "optimized"): 0.921,
     (0.01, "iud"): 0.921,

@@ -1,9 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import delcap.baa
 from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
@@ -340,6 +342,75 @@ class TestStackedSolve:
         with pytest.raises(ParameterError):
             orbit_stack([build_binomial_deletion_channel(2, 0.5),
                          build_fixed_deletion_channel(2, 1)])
+
+
+@dataclass(frozen=True)
+class ExplicitCsr:
+    """The solver's view of a channel with C and C^T both explicit CSR
+    copies, as channels held them before C became a CSC view of C^T
+    (and C^T, on a full channel, a CSC view of C)."""
+
+    _matrix: sparse.csr_array
+    _matrix_t: sparse.csr_array
+    _column_weights: object
+    _row_plogp: np.ndarray
+    input_sizes: np.ndarray
+
+    @classmethod
+    def of(cls, channel):
+        # C from the one CSR matrix the channel holds, not from its view
+        held = (channel._matrix if channel._matrix.format == "csr"
+                else channel._matrix_t.T)
+        c = sparse.csr_array(held)
+        return cls(c, sparse.csr_array(c.T), channel._column_weights,
+                   channel._row_plogp, channel.input_sizes)
+
+
+def assert_same_solve(channel, tolerance, max_iterations=20000):
+    got = solve_capacity(channel, tolerance, max_iterations)
+    want = solve_capacity(ExplicitCsr.of(channel), tolerance, max_iterations)
+    for column, reference in zip(getattr(got, "columns", [got]),
+                                 getattr(want, "columns", [want])):
+        assert_same_result(column, reference)
+    return got
+
+
+class TestOneMatrix:
+    """The products on a channel's one stored matrix and its view give the
+    solve that explicit CSR copies give, bit for bit."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 9).flatmap(
+        lambda L: st.tuples(st.just(L), st.integers(0, L))),
+        st.floats(1e-4, 0.05))
+    @example((9, 5), 1e-4)
+    def test_fixed_cell(self, cell, tolerance):
+        assert_same_solve(orbit_channel(build_fixed_deletion_channel(*cell)),
+                          tolerance)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 9),
+           st.lists(st.floats(0.001, 0.999), min_size=2, max_size=5),
+           st.sampled_from([20000, 10, 30]))
+    def test_d_stack(self, L, ds, max_iterations):
+        assert_same_solve(orbit_stack(
+            [build_binomial_deletion_channel(L, d) for d in ds]),
+            5e-3, max_iterations)
+
+    def test_d_stack_whose_last_law_runs_alone(self):
+        # 0.1 closes after 5 evaluations and 0.5 after 24; 0.7 then runs
+        # alone, on the single-law products, to the cap of 30
+        result = assert_same_solve(orbit_stack(
+            [build_binomial_deletion_channel(8, d) for d in (0.1, 0.7, 0.5)]),
+            5e-3, 30)
+        assert [c.iterations for c in result.columns] == [5, 30, 24]
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 7), st.floats(0.001, 0.999),
+           st.floats(1e-5, 0.05))
+    def test_full_channel(self, L, d, tolerance):
+        assert_same_solve(build_binomial_deletion_channel(L, d), tolerance)
+        assert_same_solve(build_fixed_deletion_channel(L, L // 2), tolerance)
 
 
 class TestValidation:

@@ -540,6 +540,28 @@ class TestConjecture1:
         by_id = {r.lemma_id: r for r in reports}
         assert by_id["conjecture1_c3"].violations == []
 
+    def test_instances_are_labelled_by_their_left_value(self,
+                                                        default_table):
+        # each instance compares the bound at its parameter (left) with
+        # the bound one step below (right)
+        table = default_table
+        family = {
+            "conjecture1_c3": lambda L: bound_c3(L, 0.5, table),
+            "conjecture1_c4": lambda L: bound_c4(
+                L, 0.5, max_iterations=table.max_iterations,
+                entry_budget=table.entry_budget),
+            "conjecture1_c1_star": lambda D: bound_c1_star(
+                D, resolve_l_max(table, "c1_star", D=D), 0.5, table),
+            "conjecture1_c2_star": lambda R: bound_c2_star(
+                R, resolve_l_max(table, "c2_star", R=R), 0.5, table),
+        }
+        for report in conjecture1_report(0.5, table, max_c4_level=4):
+            bound = family[report.lemma_id]
+            for inst in report.checked_instances:
+                [parameter] = inst.parameters.values()
+                assert inst.left_side == bound(parameter), report.lemma_id
+                assert inst.right_side == bound(parameter - 1)
+
     def test_rejects_endpoints(self, default_table):
         with pytest.raises(ParameterError):
             conjecture1_report(0.0, default_table)

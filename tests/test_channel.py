@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import delcap.bounds
+import delcap.channel
 from delcap import (DEFAULT_ENTRY_BUDGET, BitString, ParameterError,
                     ResourceLimitError, binomial_weight,
                     build_binomial_deletion_channel,
@@ -57,9 +59,9 @@ def assert_counts_match(indptr, indices, counts, reference, dtype):
 
 def eager_fold(L, indptr, indices, counts, output_lengths, output_values):
     """Reference fold of full count rows onto orbits, every output length
-    at once: (C, C transposed, H, column lengths, representatives,
+    at once: (C transposed, H, column lengths, representatives,
     input_sizes, output_sizes), as the package folded before it folded one
-    length at a time."""
+    length at a time. C is folded as CSR and transposed last."""
     _, representatives, input_sizes = _label_orbits(L)
     out_orbit = np.empty(len(output_lengths), dtype=np.int32)
     sizes, lengths = [], []
@@ -88,18 +90,23 @@ def eager_fold(L, indptr, indices, counts, output_lengths, output_values):
     matrix.sum_duplicates()
     h += by_length(matrix.data * np.log(output_sizes)[matrix.indices],
                    column_lengths[matrix.indices], matrix.indptr)
-    return (matrix, matrix.T.tocsr(), h, column_lengths,
+    return (matrix.T.tocsr(), h, column_lengths,
             representatives, input_sizes.astype(np.float64), output_sizes)
+
+
+def assert_same_csr(a, b):
+    """Two CSR matrices agree bit for bit, dtypes included."""
+    assert a.format == b.format == "csr" and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def assert_same_store(got, want):
     """Two folded stores agree bit for bit, dtypes included."""
-    for a, b in zip(got[:2], want[:2]):
-        assert a.shape == b.shape
-        for name in ("indptr", "indices", "data"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    for x, y in zip(got[2:], want[2:]):
+    assert len(got) == len(want)
+    assert_same_csr(got[0], want[0])
+    for x, y in zip(got[1:], want[1:]):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
 
@@ -207,15 +214,20 @@ class TestCountWalk:
             assert block_entries(L, r) == block.nnz, (L, r)
         assert sum(block_entries(12, r) for r in range(13)) == 1058786
 
-    def test_fixed_channel_forms_its_block_on_first_read(self):
+    def test_fixed_channel_forms_its_block_on_first_read(self, monkeypatch):
         [(_, _, fold)] = _cell_folds([(6, 4)])
         channel = build_fixed_deletion_channel(6, 4, fold=fold)
         assert channel.entry_count == block_entries(6, 4)
         for name in ("indptr", "indices", "exact_numerators", "probs"):
             assert name not in vars(channel)
-        assert orbit_channel(channel)._matrix is fold[0]
-        assert "indptr" not in vars(channel)
         [(_, _, block)] = count_blocks([(6, 4)])
+        # orbit_channel folds the handed fold, and walks no counts of its own
+        with monkeypatch.context() as patch:
+            patch.setattr(delcap.channel, "_cell_folds", None)
+            assert_same_csr(orbit_channel(channel)._matrix_t, eager_fold(
+                6, block.indptr, block.indices, block.data,
+                np.full(16, 4, dtype=np.int8), np.arange(16))[0])
+        assert "indptr" not in vars(channel)
         for field, name in (("indptr", "indptr"), ("indices", "indices"),
                             ("exact_numerators", "data")):
             got, want = getattr(channel, field), getattr(block, name)
@@ -442,7 +454,8 @@ class TestOrbitChannel:
     def test_binomial_counts_are_shared_across_d(self):
         a = orbit_channel(build_binomial_deletion_channel(6, 0.2))
         b = orbit_channel(build_binomial_deletion_channel(6, 0.7))
-        assert a._matrix is b._matrix and a._matrix_t is b._matrix_t
+        assert a._matrix_t is b._matrix_t
+        assert np.shares_memory(a._matrix.data, b._matrix.data)
         assert not np.array_equal(a._column_weights, b._column_weights)
 
     def test_c4_fold_leaves_full_probabilities_unformed(self, monkeypatch):
@@ -460,6 +473,46 @@ class TestOrbitChannel:
         # read on demand, they are the counts times the length weights
         assert built[0].probs[0] == 0.3 ** 12
         assert "probs" in vars(built[0])
+
+
+@st.composite
+def _store_parts(draw):
+    """A block length L and some of its output lengths r, as the parts of
+    a store (all of them) or of a fixed cell (one)."""
+    L = draw(st.integers(0, 10))
+    return L, draw(st.sets(st.integers(0, L), min_size=1))
+
+
+class TestOneMatrix:
+    """C^T is the only count matrix held, filled in place; C is its CSC
+    view."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(_store_parts())
+    @example((0, {0}))
+    @example((9, {4}))  # one part, as a fixed cell
+    @example((10, set(range(11))))  # the binomial store
+    @example((10, {0, 3, 10}))  # gaps between the lengths
+    def test_fill_equals_stacked_transposes(self, parts):
+        L, lengths = parts
+        folds = list(_cell_folds([(L, r) for r in lengths]))
+        want = sparse.vstack([part.T.tocsr() for _, _, (part, _, _) in folds],
+                             format="csr")
+        assert_same_csr(_stack_folds(L, folds)[0], want)
+
+    def test_c_is_a_view_of_the_one_matrix(self):
+        [(_, _, fold)] = _cell_folds([(7, 5)])
+        cell = orbit_channel(build_fixed_deletion_channel(7, 5, fold=fold))
+        stack = delcap.channel.orbit_stack(
+            [build_binomial_deletion_channel(7, d) for d in (0.2, 0.6)])
+        for channel in (cell, stack):
+            assert channel._matrix.format == "csc"
+            assert channel._matrix.shape == channel._matrix_t.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(channel._matrix, name),
+                                        getattr(channel._matrix_t, name))
+        assert [f.name for f in dataclasses.fields(delcap.channel.OrbitChannel)
+                if f.type is sparse.csr_array] == ["_matrix_t"]
 
 
 class TestDump:

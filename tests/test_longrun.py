@@ -1,14 +1,17 @@
 """Deep-block reproduction jobs, hidden behind --run-long for their
-time and memory. Measured on 2 cores with 8 GB, all five pass in about
-33 s at about 1.5 GB. Run alone: the deep-table jobs (diagonal to 22)
-take about 16 s at 0.9 GB, the (17, 8) ratio 4 s at 0.4 GB, and the two
-L=17 jobs (c4, lower bound) 17 s and 10 s at 1.3-1.4 GB, most of it the
-folded L=17 binomial store.
+time and memory. Measured on 2 cores with 8 GB, all six pass in about
+90 s at about 3.3 GB: the process keeps each block length's folded
+binomial store, so the L=17 store is still held while the L=18 one is
+built. Run alone: the deep-table jobs (diagonal to 22) take about 23 s
+at 0.8 GB, the (17, 8) ratio 5 s at 0.4 GB, the two L=17 jobs (c4,
+lower bound) 15 s and 11 s at 1.0 GB, most of it the folded L=17
+binomial store, and the L=18 c4 job 53 s at 2.6 GB.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
-their values repeat the frozen desk-scale references at full depth. They
-run at the default entry budget, so they also check that it admits every
-deep channel they build.
+their values repeat the frozen desk-scale references at full depth, and
+the L=18 job pins the package's own value. All but the L=18 job run at
+the default entry budget, so they also check that it admits every deep
+channel they build.
 """
 
 import pytest
@@ -20,7 +23,7 @@ from delcap import (CoefficientTable, alpha_tilde, bound_c4,
 from delcap.channel import orbit_channel
 
 from reference_values import (ALPHA_TILDE_DIAGONAL, C4_L17_D050,
-                              LARGE_D_RATIO_R8_L17, LOWER_L17,
+                              C4_L18_D050, LARGE_D_RATIO_R8_L17, LOWER_L17,
                               SMALL_D_SLOPE_L22)
 
 pytestmark = pytest.mark.longrun
@@ -58,6 +61,14 @@ def test_small_d_slope_deep(deep_table):
 def test_c4_reproduction_at_midpoint():
     value = bound_c4(17, 0.5)
     assert value == pytest.approx(C4_L17_D050, abs=1.5e-3)
+
+
+def test_c4_reproduction_at_l18():
+    # the default budget still refuses L=18, so it is raised here; c4 is
+    # the solver's upper end per bit, so the solver's 0.005-bit bracket
+    # width over 18 bits bounds the drift
+    value = bound_c4(18, 0.5, entry_budget=10**9)
+    assert value == pytest.approx(C4_L18_D050, abs=0.005 / 18)
 
 
 def test_lower_bound_reproduction():
