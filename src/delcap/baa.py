@@ -9,7 +9,7 @@ where the iteration stops. All internal work is in nats; results are
 converted to bits at the boundary.
 
 The start law gives each input its channel's input_sizes as weight: one
-per input of a SparseChannel, the uniform law, and the orbit size per
+per input of a full channel, the uniform law, and the orbit size per
 row of an OrbitChannel, the uniform law on the full inputs summed over
 each orbit. Each step multiplies a row's mass by a function of its
 divergence, which is the same for every member of an orbit, so the
@@ -204,7 +204,7 @@ def _solve_stack(stack, columns):
 
 def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
                    max_iterations=DEFAULT_MAX_ITERATIONS, on_iteration=None):
-    """Bracket the capacity of a SparseChannel to the given width in bits.
+    """Bracket the capacity of a channel to the given width in bits.
 
     Deterministic: identical inputs give a bit-identical result. Slow
     convergence never raises; the partial bracket comes back flagged with
@@ -218,7 +218,7 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
     is invoked once per iteration with the kept bracket when supplied,
     mainly so tests can watch monotonicity.
     The iteration starts from the law proportional to
-    channel.input_sizes, uniform on a SparseChannel; on an OrbitChannel,
+    channel.input_sizes, uniform on a full channel; on an OrbitChannel,
     input_distribution holds the mass of each input orbit, not of its
     representative.
 

@@ -35,19 +35,24 @@ length, M = C diag(w), which the solver applies to vectors. One walk
 representative's length-R row from two count blocks of level L - 1, so
 no cell's own block is built. A fixed cell is its fold at r = R. The
 binomial store (_binomial_orbit_store) is the folds of (L, 0), ...,
-(L, L) side by side, made once per L and shared by every d, so the
-skeleton is never built either. orbit_stack lays the weights of several
-d over the store as one stack, which the solver solves in one pass. A
-SparseChannel of either family forms its count arrays and probs on
-first read (row, dump_channel, validate, a solve on the full channel);
-orbit_channel reads neither.
+(L, L) side by side, kept for one L at a time and shared by every d,
+so the skeleton is never built either. orbit_stack lays the weights of
+several d over the store as one stack, which the solver solves in one
+pass.
+
+SparseChannel is an explicit DMC that holds its arrays. Each family is
+a small frozen class of its parameters, FixedDeletionChannel (L, R) and
+BinomialDeletionChannel (L, length weights), that forms its rows as
+cached properties on first read (row, dump_channel, validate, a solve
+on the full channel), counts its entries in closed form, and folds
+itself onto orbits (folded) without reading its rows.
 
 Every channel holds one matrix, and the solver's other product runs on
 its transposed view, whose sums take each entry's terms in the same
 order as a copy would. A folded channel holds C^T as CSR, one row per
 output orbit, filled in place as the walk hands over each length's fold
-(_stack_folds), and C is its CSC view. A SparseChannel holds its rows
-as CSR, and its transpose is their CSC view.
+(_stack_folds), and C is its CSC view. A channel of explicit rows holds
+them as CSR, and its transpose is their CSC view.
 """
 
 import math
@@ -66,68 +71,14 @@ L_CAP = 22
 DEFAULT_ENTRY_BUDGET = 1 << 28
 
 
-# fields a SparseChannel of each family leaves None, formed on first read:
-# a fixed cell's count block and a binomial channel's skeleton, and probs
-_FIXED_LAZY = ("indptr", "indices", "exact_numerators", "probs")
-_BINOMIAL_LAZY = ("indptr", "indices", "output_lengths", "output_values",
-                  "probs")
+class _Rows:
+    """The readers of a channel's explicit rows: indptr, indices, probs,
+    output_lengths, output_values and, where the rows are exact rationals,
+    exact_numerators over exact_denominator."""
 
-
-@dataclass(frozen=True, eq=False)
-class SparseChannel:
-    """Immutable sparse DMC; row x lists P(y|x) over the reachable outputs."""
-
-    indptr: np.ndarray | None   # (n_inputs + 1,) row boundaries
-    indices: np.ndarray | None  # (nnz,) output ids, strictly increasing per row
-    probs: np.ndarray | None    # (nnz,) float64; None: formed on first read
-    input_length: int           # bits per input label; input id == label value
-    output_lengths: np.ndarray | None  # (n_outputs,) bits of each output label
-    output_values: np.ndarray | None   # (n_outputs,) value of each output label
-    exact_numerators: np.ndarray | None = None  # embedding counts (fixed family)
-    exact_denominator: int | None = None        # common denominator C(L, L-R)
-    # binomial family: the weight d^(L-r) (1-d)^r of each output length r,
-    # which scales the count skeleton of this input length; the skeleton's
-    # arrays and probs are None until something reads them
-    length_weights: np.ndarray | None = None
-    # fixed family: the cell's fold, when a walk made it (see _cell_folds)
-    _fold: tuple | None = None
-
-    def _lazy_fields(self):
-        if self.length_weights is not None:
-            return _BINOMIAL_LAZY
-        return _FIXED_LAZY if self.exact_denominator is not None else ()
-
-    def __post_init__(self):
-        for name in self._lazy_fields():
-            if getattr(self, name) is None:  # left to __getattr__
-                object.__delattr__(self, name)
-
-    def __getattr__(self, name):
-        # normal lookup fails only for fields that are not formed yet
-        if name not in self._lazy_fields():
-            raise AttributeError(name)
-        if name == "probs":
-            if self.length_weights is None:  # fixed family: exact rationals
-                value = self.exact_numerators / self.exact_denominator
-            else:
-                value = (_binomial_structure(self.input_length)[2]
-                         * self.length_weights[
-                             self.output_lengths[self.indices]])
-            object.__setattr__(self, name, value)
-            return value
-        if self.length_weights is None:
-            [(_, _, block)] = count_blocks(
-                [(self.input_length, int(self.output_lengths[0]))])
-            formed = (("indptr", block.indptr), ("indices", block.indices),
-                      ("exact_numerators", block.data))
-        else:
-            indptr, indices, _, lengths, values = _binomial_structure(
-                self.input_length)
-            formed = (("indptr", indptr), ("indices", indices),
-                      ("output_lengths", lengths), ("output_values", values))
-        for field, value in formed:
-            object.__setattr__(self, field, value)
-        return getattr(self, name)
+    exact_numerators = None   # embedding counts, when the rows are exact
+    exact_denominator = None  # their common denominator
+    _column_weights = 1.0  # probs are the solver's matrix as they stand
 
     @property
     def input_count(self):
@@ -136,15 +87,6 @@ class SparseChannel:
     @property
     def output_count(self):
         return len(self.output_lengths)
-
-    @property
-    def entry_count(self):
-        if self.length_weights is not None:
-            return _skeleton_entries(self.input_length)
-        if self.exact_denominator is not None:
-            return block_entries(self.input_length,
-                                 int(self.output_lengths[0]))
-        return len(self.indices)
 
     @property
     def input_sizes(self):
@@ -170,8 +112,6 @@ class SparseChannel:
         return [(j, Fraction(int(n), self.exact_denominator))
                 for j, n in zip(self.indices[lo:hi].tolist(),
                                 self.exact_numerators[lo:hi].tolist())]
-
-    _column_weights = 1.0  # probs are the solver's matrix as they stand
 
     @cached_property
     def _matrix(self):
@@ -207,10 +147,20 @@ class SparseChannel:
             assert np.all(totals == self.exact_denominator), "rational rows off"
 
 
-# A dataclass default is also a class attribute, which normal lookup would
-# return for the deleted field before __getattr__ runs; __init__ keeps its
-# own copy of the default.
-del SparseChannel.exact_numerators
+@dataclass(frozen=True, eq=False)
+class SparseChannel(_Rows):
+    """Immutable sparse DMC; row x lists P(y|x) over the reachable outputs."""
+
+    indptr: np.ndarray   # (n_inputs + 1,) row boundaries
+    indices: np.ndarray  # (nnz,) output ids, strictly increasing per row
+    probs: np.ndarray    # (nnz,) float64
+    input_length: int    # bits per input label; input id == label value
+    output_lengths: np.ndarray  # (n_outputs,) bits of each output label
+    output_values: np.ndarray   # (n_outputs,) value of each output label
+
+    @property
+    def entry_count(self):
+        return len(self.indices)
 
 
 def _stack_twice(block, shift, width):
@@ -287,34 +237,65 @@ def _check_fixed_cell(L, R, entry_budget):
             f" budget {entry_budget}")
 
 
+@dataclass(frozen=True, eq=False)
+class FixedDeletionChannel(_Rows):
+    """Cell (L, R) of the fixed-deletion family. Its rows, the int32 count
+    block (L, R) from a walk of its own, and probs form on first read; a
+    fold from a _cell_folds walk spares folded() a walk to the cell alone."""
+
+    input_length: int   # L
+    output_length: int  # R
+    fold: tuple | None = None
+
+    @cached_property
+    def _block(self):
+        [(_, _, block)] = count_blocks([(self.input_length,
+                                         self.output_length)])
+        return block
+
+    indptr = cached_property(lambda self: self._block.indptr)
+    indices = cached_property(lambda self: self._block.indices)
+    exact_numerators = cached_property(lambda self: self._block.data)
+    probs = cached_property(
+        lambda self: self.exact_numerators / self.exact_denominator)
+    output_lengths = cached_property(lambda self: np.full(
+        1 << self.output_length, self.output_length, dtype=np.int8))
+    output_values = cached_property(
+        lambda self: np.arange(1 << self.output_length, dtype=np.int64))
+
+    exact_denominator = property(lambda self: math.comb(
+        self.input_length, self.input_length - self.output_length))
+    entry_count = property(
+        lambda self: block_entries(self.input_length, self.output_length))
+
+    def folded(self):
+        """The cell on its orbits (see orbit_channel): its fold, or one
+        from a walk to the cell alone, uncached (the table solves each
+        cell once), weighted 1 / C(L, R) at r = R."""
+        L, R, fold = self.input_length, self.output_length, self.fold
+        if fold is None:
+            [(_, _, fold)] = _cell_folds([(L, R)])
+        w = np.zeros(L + 1)
+        w[R] = 1.0 / self.exact_denominator
+        return _weigh(L, _stack_folds(L, [(L, R, fold)]), w)
+
+
 def build_fixed_deletion_channel(L, R, *, entry_budget=DEFAULT_ENTRY_BUDGET,
                                  fold=None):
     """Channel that deletes exactly L - R bits, uniformly over patterns.
 
     P(b | a) = embedding_count(a, b) / C(L, L - R); every row is a list of
     exact rationals over the common denominator and sums to one exactly.
-    The channel forms its int32 count block from its own walk on first
-    read. It holds fold, the cell's fold from a _cell_folds walk, for
-    orbit_channel, which otherwise folds the cell from a walk of its own.
+    fold is the cell's fold, when a _cell_folds walk has made it.
     """
     _check_fixed_cell(L, R, entry_budget)
-    return SparseChannel(
-        indptr=None,
-        indices=None,
-        probs=None,
-        input_length=L,
-        output_lengths=np.full(1 << R, R, dtype=np.int8),
-        output_values=np.arange(1 << R, dtype=np.int64),
-        exact_numerators=None,
-        exact_denominator=math.comb(L, L - R),
-        _fold=fold,
-    )
+    return FixedDeletionChannel(L, R, fold)
 
 
 @cache
 def _binomial_structure(L):
     """The full count skeleton of the binomial family, which only the
-    binomial SparseChannel's lazy readers form: the int32 count blocks
+    rows of a BinomialDeletionChannel read: the int32 count blocks
     (L, r), r = 0..L, stacked side by side. Length-r outputs take ids
     from 2^r - 1 on, so the stack keeps every row sorted; up to L_CAP
     every id is under 2^23 and every count at most C(22, 11)."""
@@ -327,16 +308,39 @@ def _binomial_structure(L):
             np.concatenate([np.arange(size) for size in sizes]))
 
 
+@dataclass(frozen=True, eq=False)
+class BinomialDeletionChannel(_Rows):
+    """The binomial family at block length L and one d, held as the weight
+    d^(L-r) (1-d)^r of each output length r. Its rows, the count skeleton
+    of L (_binomial_structure) times those weights, are formed on first
+    read."""
+
+    input_length: int           # L
+    length_weights: np.ndarray  # (L + 1,) weight of each output length
+
+    _skeleton = property(lambda self: _binomial_structure(self.input_length))
+    indptr = cached_property(lambda self: self._skeleton[0])
+    indices = cached_property(lambda self: self._skeleton[1])
+    output_lengths = cached_property(lambda self: self._skeleton[3])
+    output_values = cached_property(lambda self: self._skeleton[4])
+    probs = cached_property(lambda self: self._skeleton[2] * (
+        self.length_weights[self.output_lengths[self.indices]]))
+    entry_count = property(lambda self: _skeleton_entries(self.input_length))
+
+    def folded(self):
+        """The channel on its orbits (see orbit_channel): the binomial
+        store of L under its length weights."""
+        L = self.input_length
+        return _weigh(L, _binomial_orbit_store(L), self.length_weights)
+
+
 def build_binomial_deletion_channel(L, d, *,
                                     entry_budget=DEFAULT_ENTRY_BUDGET):
     """IID-deletion channel whose output carries its own length.
 
     P(y | x) = embedding_count(x, y) d^(L-|y|) (1-d)^|y| over outputs of
     every length 0..L; the empty string is a first-class output. The
-    channel holds the L + 1 length weights; its d-independent count
-    skeleton, the fixed-deletion count blocks (L, r) for r = 0..L side by
-    side, is cached per L and formed only when something reads it.
-    The budget counts what the solve path builds: the count blocks of
+    budget counts what the solve path builds: the count blocks of
     level L - 1 and the representative rows, which lie among the rows
     with a leading 0, half of all skeleton entries.
     """
@@ -352,16 +356,8 @@ def build_binomial_deletion_channel(L, d, *,
         raise ResourceLimitError(
             f"binomial channel L={L} may need {est} entries,"
             f" budget {entry_budget}")
-    return SparseChannel(
-        indptr=None,
-        indices=None,
-        probs=None,
-        input_length=L,
-        output_lengths=None,
-        output_values=None,
-        length_weights=np.array([d ** (L - r) * (1.0 - d) ** r
-                                 for r in range(L + 1)]),
-    )
+    return BinomialDeletionChannel(L, np.array(
+        [d ** (L - r) * (1.0 - d) ** r for r in range(L + 1)]))
 
 
 @cache
@@ -534,11 +530,19 @@ def _cell_folds(cells):
         previous = rows
 
 
-@cache
+_stores = {}  # L -> its binomial store, for one L at a time
+
+
 def _binomial_orbit_store(L):
     """The binomial skeleton of block length L, folded once for every d:
-    the folds of the cells (L, 0), ..., (L, L), stacked."""
-    return _stack_folds(L, _cell_folds([(L, r) for r in range(L + 1)]))
+    the folds of the cells (L, 0), ..., (L, L), stacked. It is kept until
+    a store of another L is asked for, and dropped before that one is
+    folded, so a process that goes through several L holds one store."""
+    if L not in _stores:
+        _stores.clear()
+        _stores[L] = _stack_folds(
+            L, _cell_folds([(L, r) for r in range(L + 1)]))
+    return _stores[L]
 
 
 def _weigh(L, folded, w):
@@ -559,33 +563,23 @@ def _weigh(L, folded, w):
 
 
 def orbit_channel(channel):
-    """Fold a fixed-deletion or binomial SparseChannel onto its orbits
-    under complement and reversal (see the module docstring). Its weight
-    per output length r is 1 / C(L, R) at r = R for a fixed cell, whose
-    fold is the one it holds or one from a walk to the cell alone,
-    uncached (the table solves each cell once), and d^(L-r) (1-d)^r for
-    the binomial family."""
-    L = channel.input_length
-    if channel.length_weights is not None:
-        return _weigh(L, _binomial_orbit_store(L), channel.length_weights)
-    R = int(channel.output_lengths[0])
-    fold = channel._fold
-    if fold is None:
-        [(_, _, fold)] = _cell_folds([(L, R)])
-    w = np.zeros(L + 1)
-    w[R] = 1.0 / channel.exact_denominator
-    return _weigh(L, _stack_folds(L, [(L, R, fold)]), w)
+    """Fold a fixed-deletion or binomial channel onto its orbits under
+    complement and reversal (see the module docstring): the OrbitChannel
+    of its counts times one weight per output length r, 1 / C(L, R) at
+    r = R for a fixed cell and d^(L-r) (1-d)^r for the binomial family."""
+    return channel.folded()
 
 
 def orbit_stack(channels):
-    """Fold binomial SparseChannels of one block length onto their orbits
-    as one stack: the OrbitChannel that shares their counts C, with one
-    row of column weights (channels × output orbits) and one row of the
-    row term (channels × input orbits) per channel, in the given order.
+    """Fold binomial channels of one block length onto their orbits as
+    one stack: the OrbitChannel that shares their counts C, with one row
+    of column weights (channels × output orbits) and one row of the row
+    term (channels × input orbits) per channel, in the given order.
     solve_capacity solves the stack in one pass."""
     L = channels[0].input_length
     for channel in channels:
-        if channel.length_weights is None or channel.input_length != L:
+        if (not isinstance(channel, BinomialDeletionChannel)
+                or channel.input_length != L):
             raise ParameterError(
                 "a stack takes binomial channels of one block length")
     return _weigh(L, _binomial_orbit_store(L),

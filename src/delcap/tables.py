@@ -98,10 +98,11 @@ def _check_side(side):
         raise ParameterError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-def _compute_entry(table, L, R, fold=None):
-    # fold: the cell's fold, when a _cell_folds walk has made it
-    channel = orbit_channel(build_fixed_deletion_channel(
-        L, R, entry_budget=table.entry_budget, fold=fold))
+def _compute_entry(table, L, R, channel=None):
+    # channel: the cell on its orbits, when a _cell_folds walk has made it
+    if channel is None:
+        channel = orbit_channel(build_fixed_deletion_channel(
+            L, R, entry_budget=table.entry_budget))
     result = solve_capacity(channel, table.tolerance, table.max_iterations)
     if not result.converged:
         raise SolverNotConvergedError(
@@ -222,8 +223,11 @@ def populate_table(table, *, diagonal_l_max=None):
     for cell in todo:
         _check_fixed_cell(*cell, table.entry_budget)
     for L, R, fold in _cell_folds(todo):
-        _compute_entry(table, L, R, fold)
-        del fold  # the walk folds the next cell without this one
+        channel = orbit_channel(build_fixed_deletion_channel(
+            L, R, entry_budget=table.entry_budget, fold=fold))
+        del fold  # through the solve, channel alone holds the counts
+        _compute_entry(table, L, R, channel)
+        del channel  # the walk folds the next cell without this one
     return table
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -433,8 +434,8 @@ class TestOrbitChannel:
     @given(st.integers(1, 11))
     def test_store_from_level_below_equals_eager_fold(self, L):
         # uncached, so every example builds the store afresh
-        assert_same_store(_binomial_orbit_store.__wrapped__(L),
-                          eager_fold(L, *_binomial_structure(L)))
+        store = _stack_folds(L, _cell_folds([(L, r) for r in range(L + 1)]))
+        assert_same_store(store, eager_fold(L, *_binomial_structure(L)))
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(_cells, min_size=1, max_size=8))
@@ -457,6 +458,23 @@ class TestOrbitChannel:
         assert a._matrix_t is b._matrix_t
         assert np.shares_memory(a._matrix.data, b._matrix.data)
         assert not np.array_equal(a._column_weights, b._column_weights)
+
+    def test_one_store_is_held_at_a_time(self, monkeypatch):
+        _binomial_orbit_store(3)
+        held = weakref.ref(_binomial_orbit_store(4)[0])
+        walk = delcap.channel._cell_folds
+        alive = []
+
+        def checked(cells):
+            alive.append(held() is not None)
+            return walk(cells)
+
+        monkeypatch.setattr(delcap.channel, "_cell_folds", checked)
+        _binomial_orbit_store(5)
+        # the store of L=4 is gone before the one of L=5 is folded
+        assert alive == [False]
+        _binomial_orbit_store(5)
+        assert alive == [False]  # and L=5 is kept for the next d
 
     def test_c4_fold_leaves_full_probabilities_unformed(self, monkeypatch):
         built = []

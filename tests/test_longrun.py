@@ -1,11 +1,11 @@
 """Deep-block reproduction jobs, hidden behind --run-long for their
 time and memory. Measured on 2 cores with 8 GB, all six pass in about
-90 s at about 3.3 GB: the process keeps each block length's folded
-binomial store, so the L=17 store is still held while the L=18 one is
-built. Run alone: the deep-table jobs (diagonal to 22) take about 23 s
-at 0.8 GB, the (17, 8) ratio 5 s at 0.4 GB, the two L=17 jobs (c4,
-lower bound) 15 s and 11 s at 1.0 GB, most of it the folded L=17
-binomial store, and the L=18 c4 job 53 s at 2.6 GB.
+85 s at about 2.9 GB, set by the L=18 job: the process keeps one block
+length's folded binomial store at a time, so the L=17 store is dropped
+before the L=18 one is built. Run alone: the deep-table jobs (diagonal
+to 22) take about 23 s at 0.8 GB, the (17, 8) ratio 5 s at 0.4 GB, the
+two L=17 jobs (c4, lower bound) 15 s and 11 s at 1.0 GB, most of it
+the folded L=17 binomial store, and the L=18 c4 job 53 s at 2.6 GB.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
 their values repeat the frozen desk-scale references at full depth, and

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +224,27 @@ class TestPopulate:
         table = populate_table(CoefficientTable(l_max=6), diagonal_l_max=7)
         assert (7, 6) in table.entries and (6, 4) in table.entries
         assert {(L, R) for L, R in yielded if L >= 6} == {(6, 5), (6, 6)}
+
+    def test_each_fold_is_freed_before_its_cell_is_solved(self, monkeypatch):
+        # the cell's OrbitChannel holds its counts; the fold the walk
+        # handed over is gone by the time the solve runs
+        folds, freed = [], []
+        stack = delcap.channel._stack_folds
+        solve = delcap.tables.solve_capacity
+
+        def recorded(L, parts):
+            [(_, _, (part, _, _))] = parts
+            folds.append(weakref.ref(part))
+            return stack(L, parts)
+
+        def checked(*args, **kwargs):
+            freed.append(folds[-1]() is None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(delcap.channel, "_stack_folds", recorded)
+        monkeypatch.setattr(delcap.tables, "solve_capacity", checked)
+        populate_table(CoefficientTable(l_max=5), diagonal_l_max=6)
+        assert freed == [True] * 7  # (3, 2) .. (5, 4), then (6, 5)
 
     def test_over_budget_cell_refused_before_any_solve(self, monkeypatch):
         solves = []
