@@ -30,15 +30,15 @@ certifies the same capacity.
 
 Both families fold alike, one output length at a time (_fold_length):
 integer embedding counts C on the orbits, times one weight per output
-length, M = C diag(w), which the solver applies to vectors. One walk
-(_cell_folds) folds a list of cells (L, R): it takes each
-representative's length-R row from two count blocks of level L - 1, so
-no cell's own block is built. A fixed cell is its fold at r = R. The
-binomial store (_binomial_orbit_store) is the folds of (L, 0), ...,
-(L, L) side by side, kept for one L at a time and shared by every d,
-so the skeleton is never built either. orbit_stack lays the weights of
-several d over the store as one stack, which the solver solves in one
-pass.
+length, M = C diag(w), which the solver applies to vectors; each
+length's part comes out as rows of C^T. One walk (_cell_folds) folds a
+list of cells (L, R): it takes each representative's length-R row from
+two count blocks of level L - 1, so no cell's own block is built. A
+fixed cell is its fold at r = R. The binomial store
+(_binomial_orbit_store) is the folds of (L, 0), ..., (L, L) stacked,
+kept for one L at a time and shared by every d, so the skeleton is
+never built either. orbit_stack lays the weights of several d over the
+store as one stack, which the solver solves in one pass.
 
 SparseChannel is an explicit DMC that holds its arrays. Each family is
 a small frozen class of its parameters, FixedDeletionChannel (L, R) and
@@ -50,9 +50,9 @@ itself onto orbits (folded) without reading its rows.
 Every channel holds one matrix, and the solver's other product runs on
 its transposed view, whose sums take each entry's terms in the same
 order as a copy would. A folded channel holds C^T as CSR, one row per
-output orbit, filled in place as the walk hands over each length's fold
-(_stack_folds), and C is its CSC view. A channel of explicit rows holds
-them as CSR, and its transpose is their CSC view.
+output orbit, appended to in place as the walk hands over each length's
+part (_stack_folds), and C is its CSC view. A channel of explicit rows
+holds them as CSR, and its transpose is their CSC view.
 """
 
 import math
@@ -429,21 +429,30 @@ def _row_sums(values, like):
 def _fold_length(r, rows):
     """The length-r part of a fold: rows, one per input orbit, hold the
     representatives' int32 counts into the length-r outputs as canonical
-    CSR. Returns (C over the length-r output orbits, H's column r, those
-    orbits' sizes). H[o, r] is the sum of c log c over the counts c of
-    the row plus sum_O C[o, O] log |O|. C keeps int32 indices, which
-    makes the solver's products faster than int64 and gives the same
-    sums."""
+    CSR. Returns (C^T over the length-r output orbits, H's column r,
+    those orbits' sizes). H[o, r] is the sum of c log c over the counts c
+    of the row plus sum_O C[o, O] log |O|.
+
+    Relabelling each column by its orbit and converting to CSC is one
+    counting sort: read as C^T, each orbit's rows ascend with duplicates
+    side by side, so they merge in one pass with no sort. The merge runs
+    on the int32 counts, which sum exactly, to keep the deep peak down
+    (8 bytes per pre-merge entry, not 12); only the merged counts are
+    cast to float64. int32 indices make the solver's products faster
+    than int64, with the same sums."""
     index, _, sizes = _label_orbits(r)
     c = rows.data.astype(np.float64)
     c_log_c = np.log(c)
     c_log_c *= c
-    part = sparse.csr_array((c, index[rows.indices], rows.indptr.copy()),
-                            shape=(rows.shape[0], len(sizes)))
-    part.sum_duplicates()  # in place, sorted; the counts sum exactly
     h = _row_sums(c_log_c, rows)
-    h += _row_sums(part.data * np.log(sizes)[part.indices], part)
-    return part, h, sizes
+    del c, c_log_c
+    part_t = sparse.csr_array((rows.data, index[rows.indices], rows.indptr),
+                              shape=(rows.shape[0], len(sizes))).tocsc().T
+    part_t.sum_duplicates()  # in place; the indices are already sorted
+    part_t.data = part_t.data.astype(np.float64)
+    # the CSC view adds each row's terms in the order _row_sums would
+    h += part_t.T @ np.log(sizes)
+    return part_t, h, sizes
 
 
 def _append(stacked, values):
@@ -459,18 +468,16 @@ def _stack_folds(L, folds):
     _cell_folds yields them: (C transposed, H, the output length of each
     column of C, representatives, input_sizes, output_sizes). C
     transposed is CSR with one row per output orbit, numbered length by
-    length, shortest first. It is filled in place: each part is
-    transposed as it comes, its data and indices are appended (_append),
-    and it is dropped, so no part is held beside a stacked copy."""
+    length, shortest first. Each part arrives as rows of C^T, so its data
+    and indices are only appended in place (_append) and it is dropped:
+    no part is held beside a stacked copy."""
     _, representatives, input_sizes = _label_orbits(L)
     h = np.zeros((len(representatives), L + 1))
     lengths, sizes = [], []
     data = np.empty(0)
     indices = np.empty(0, dtype=np.int32)
     indptr = [np.zeros(1, dtype=np.int64)]
-    for _, r, (part, column, part_sizes) in folds:
-        part_t = part.T.tocsr()
-        del part
+    for _, r, (part_t, column, part_sizes) in folds:
         indptr.append(part_t.indptr[1:] + np.int64(len(data)))
         _append(data, part_t.data)
         _append(indices, part_t.indices)

@@ -9,7 +9,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--run-long", action="store_true", default=False,
         help="run the long reproduction jobs (deep tables, L=17 and L=18;"
-             " all six take about 85 s at about 2.9 GB on 2 cores)")
+             " all seven take 73–84 s at about 2.4 GB on 2 cores)")
 
 
 def pytest_collection_modifyitems(config, items):

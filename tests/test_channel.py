@@ -18,8 +18,9 @@ from delcap import (DEFAULT_ENTRY_BUDGET, BitString, ParameterError,
                     embedding_count)
 from delcap.baa import _divergences
 from delcap.channel import (_binomial_orbit_store, _binomial_structure,
-                            _cell_folds, _label_orbits, _stack_folds,
-                            block_entries, count_blocks, orbit_channel)
+                            _cell_folds, _fold_length, _label_orbits,
+                            _row_sums, _stack_folds, _widened, block_entries,
+                            count_blocks, orbit_channel)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -501,9 +502,65 @@ def _store_parts(draw):
     return L, draw(st.sets(st.integers(0, L), min_size=1))
 
 
+@st.composite
+def _fold_rows(draw):
+    """(L, r, positions): representative rows of the count block (L, r),
+    the representatives at the given positions, in that order."""
+    L = draw(st.integers(0, 10))
+    count = len(_label_orbits(L)[1])
+    return L, draw(st.integers(0, L)), draw(st.lists(
+        st.integers(0, count - 1), min_size=1, max_size=count, unique=True))
+
+
+def representative_rows(L, r, positions):
+    """The count rows of the representatives at positions into the
+    length-r outputs; at r = L > 0 widened from block (L-1, L-1), as the
+    walk hands them to _fold_length."""
+    chosen = _label_orbits(L)[1][positions]
+    if r == L > 0:
+        [(_, _, block)] = count_blocks([(L - 1, L - 1)])
+        return _widened(block[chosen], L)
+    [(_, _, block)] = count_blocks([(L, r)])
+    return block[chosen]
+
+
+def sorted_fold(r, rows):
+    """Reference length-r fold, (C^T, H's column r): the counts cast to
+    float64, merged by a per-row sort, and transposed last."""
+    index, _, sizes = _label_orbits(r)
+    c = rows.data.astype(np.float64)
+    c_log_c = np.log(c)
+    c_log_c *= c
+    part = sparse.csr_array((c, index[rows.indices], rows.indptr.copy()),
+                            shape=(rows.shape[0], len(sizes)))
+    part.sum_duplicates()
+    h = _row_sums(c_log_c, rows)
+    h += _row_sums(part.data * np.log(sizes)[part.indices], part)
+    return part.T.tocsr(), h
+
+
 class TestOneMatrix:
     """C^T is the only count matrix held, filled in place; C is its CSC
     view."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_fold_rows())
+    @example((0, 0, [0]))
+    @example((10, 0, list(range(272))))
+    @example((10, 10, list(range(272))))  # widened from the level below
+    @example((10, 5, [271, 0, 100]))  # rows out of order
+    def test_fold_length_equals_sorted_merge(self, case):
+        L, r, positions = case
+        rows = representative_rows(L, r, positions)
+        part_t, h, _ = _fold_length(r, rows)
+        assert part_t.has_canonical_format
+        assert sparse.csr_array((part_t.data, part_t.indices, part_t.indptr),
+                                shape=part_t.shape).has_canonical_format
+        assert part_t.indices.dtype == np.int32
+        assert part_t.data.dtype == np.float64
+        want_t, want_h = sorted_fold(r, rows)
+        assert_same_csr(part_t, want_t)
+        assert h.dtype == want_h.dtype and h.tobytes() == want_h.tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(_store_parts())
@@ -514,7 +571,7 @@ class TestOneMatrix:
     def test_fill_equals_stacked_transposes(self, parts):
         L, lengths = parts
         folds = list(_cell_folds([(L, r) for r in lengths]))
-        want = sparse.vstack([part.T.tocsr() for _, _, (part, _, _) in folds],
+        want = sparse.vstack([part_t for _, _, (part_t, _, _) in folds],
                              format="csr")
         assert_same_csr(_stack_folds(L, folds)[0], want)
 

@@ -1,11 +1,13 @@
 """Deep-block reproduction jobs, hidden behind --run-long for their
-time and memory. Measured on 2 cores with 8 GB, all six pass in about
-85 s at about 2.9 GB, set by the L=18 job: the process keeps one block
+time and memory. Measured on 2 cores with 8 GB, all seven pass in
+73–84 s at about 2.4 GB, set by the L=18 job: the process keeps one block
 length's folded binomial store at a time, so the L=17 store is dropped
 before the L=18 one is built. Run alone: the deep-table jobs (diagonal
-to 22) take about 23 s at 0.8 GB, the (17, 8) ratio 5 s at 0.4 GB, the
-two L=17 jobs (c4, lower bound) 15 s and 11 s at 1.0 GB, most of it
-the folded L=17 binomial store, and the L=18 c4 job 53 s at 2.6 GB.
+to 22) take about 21 s at 0.8 GB, the (17, 8) ratio 3 s at 0.4 GB, the
+two L=17 jobs (c4, lower bound) 13 s and 6 s at 0.84 GB, most of it
+the folded L=17 binomial store, and the L=18 c4 job 37 s at 2.3 GB.
+The L=17 store build alone, in a child process, peaks at about 0.83 GB
+against the 0.9 GB its job allows.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
 their values repeat the frozen desk-scale references at full depth, and
@@ -14,8 +16,13 @@ the default entry budget, so they also check that it admits every deep
 channel they build.
 """
 
+import os
+import sys
+from pathlib import Path
+
 import pytest
 
+import delcap
 from delcap import (CoefficientTable, alpha_tilde, bound_c4,
                     build_fixed_deletion_channel, f_value, limit_large_d_c2,
                     limit_small_d_c3, lower_bound, populate_table,
@@ -85,3 +92,18 @@ def test_large_d_ratio_deep():
     f_value(17, 8, table, "lower")
     ratio = limit_large_d_c2(8, 17, table)
     assert ratio == pytest.approx(LARGE_D_RATIO_R8_L17, abs=0.01)
+
+
+def test_l17_store_peak_memory():
+    # the store build alone, in a fresh process measured as the CI longrun
+    # job measures itself; a rise past this bound eats the headroom that
+    # a store at L=19 needs in 8 GB
+    src = str(Path(delcap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-c", "from delcap.channel import"
+            " _binomial_orbit_store; _binomial_orbit_store(17)"]
+    _, status, usage = os.wait4(
+        os.spawnve(os.P_NOWAIT, sys.executable, argv, env), 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss / 1024 < 900  # MB, as the CI job prints it
