@@ -1,5 +1,9 @@
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,21 +288,47 @@ def assert_same_result(column, alone):
     assert np.array_equal(column.input_distribution, alone.input_distribution)
 
 
+def stack_cases(test):
+    """Draw a d-stack for test(self, L, ds, tolerance, max_iterations)."""
+    # 0.1 closes after 5 evaluations and 0.5 after 24; 0.7 hits the cap,
+    # and runs alone once the others close
+    test = example(8, [0.1, 0.7, 0.5], 5e-3, 30)(test)
+    # (8, 0.7) rejects its over-relaxed trials at evaluations 9, 22 and 36
+    test = example(8, [0.7, 0.3, 0.7, 1e-200], 5e-3, 20000)(test)
+    return settings(deadline=None, max_examples=40)(given(
+        st.integers(1, 9),
+        st.lists(st.sampled_from([1e-200, 0.05, 0.3, 0.5, 0.7, 0.95])
+                 | st.floats(0.001, 0.999), min_size=1, max_size=6),
+        st.floats(1e-4, 0.05),
+        st.sampled_from([20000, 1, 3, 10, 30]))(test))
+
+
+@contextmanager
+def cpus(count, split_min_entries=0):
+    """Run with count CPUs available to the process and the given split
+    threshold (0 splits every stack of two or more laws)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity",
+                      lambda pid: set(range(count)), raising=False)
+        patch.setattr(delcap.baa, "_SPLIT_MIN_ENTRIES", split_min_entries)
+        yield
+
+
+def assert_same_stack(got, want):
+    assert len(got.columns) == len(want.columns)
+    for column, reference in zip(got.columns, want.columns):
+        assert_same_result(column, reference)
+    assert got.iterations == want.iterations
+    assert got.tolerance_achieved == want.tolerance_achieved
+    assert got.converged == want.converged
+
+
 class TestStackedSolve:
     """Binomial channels of one block length, stacked on their shared
     counts, are solved in one pass; each must get the result it gets
     alone, bit for bit."""
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(1, 9),
-           st.lists(st.sampled_from([1e-200, 0.05, 0.3, 0.5, 0.7, 0.95])
-                    | st.floats(0.001, 0.999), min_size=1, max_size=6),
-           st.floats(1e-4, 0.05),
-           st.sampled_from([20000, 1, 3, 10, 30]))
-    # (8, 0.7) rejects its over-relaxed trials at evaluations 9, 22 and 36
-    @example(8, [0.7, 0.3, 0.7, 1e-200], 5e-3, 20000)
-    # 0.1 closes after 5 evaluations and 0.5 after 24; 0.7 hits the cap
-    @example(8, [0.1, 0.7, 0.5], 5e-3, 30)
+    @stack_cases
     def test_stack_equals_each_channel_alone(self, L, ds, tolerance,
                                              max_iterations):
         channels = [build_binomial_deletion_channel(L, d) for d in ds]
@@ -315,6 +345,20 @@ class TestStackedSolve:
         assert stacked.converged == all(
             column.converged for column in stacked.columns)
 
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @stack_cases
+    def test_split_stack_equals_serial_and_alone(self, count, L, ds,
+                                                 tolerance, max_iterations):
+        channels = [build_binomial_deletion_channel(L, d) for d in ds]
+        stack = orbit_stack(channels)
+        serial = solve_capacity(stack, tolerance, max_iterations)
+        with cpus(count):
+            split = solve_capacity(stack, tolerance, max_iterations)
+        assert_same_stack(split, serial)
+        for channel, column in zip(channels, split.columns):
+            assert_same_result(column, solve_capacity(
+                orbit_channel(channel), tolerance, max_iterations))
+
     def test_one_channel_at_the_cap_while_the_others_close(self):
         ds = (0.1, 0.7, 0.5)
         stacked = solve_capacity(orbit_stack(
@@ -326,6 +370,97 @@ class TestStackedSolve:
         assert type(stacked.iterations) is int and stacked.iterations == 59
         assert type(stacked.tolerance_achieved) is float
         assert stacked.converged is False
+
+    def test_large_stack_splits_on_its_own(self, monkeypatch):
+        # L=12 counts hold 172,596 entries, above the split threshold
+        splits = []
+        solve_split = delcap.baa._solve_split
+        monkeypatch.setattr(delcap.baa, "_solve_split", lambda *args: (
+            splits.append(args[2]) or solve_split(*args)))
+        stack = orbit_stack([build_binomial_deletion_channel(12, d)
+                             for d in (0.1, 0.3, 0.5, 0.6, 0.8, 0.9)])
+        stacked = solve_capacity(stack)
+        available = delcap.baa._cpu_count()
+        assert splits == ([min(available, 6)] if available > 1 else [])
+        for i, column in enumerate(stacked.columns):
+            assert_same_result(column, solve_capacity(
+                delcap.baa._rows(stack, i)))
+
+    def test_error_in_a_worker_stops_every_group(self):
+        # laws 0 and 2 run on the calling thread, 1 and 3 on the worker;
+        # the tiny tolerance keeps every law open for thousands of steps
+        stack = orbit_stack([build_binomial_deletion_channel(8, d)
+                             for d in (0.2, 0.4, 0.6, 0.8)])
+        before = set(threading.enumerate())
+        main_calls = []
+        main_at_5 = threading.Event()
+
+        def on_iteration(it, lower, upper):
+            if threading.current_thread() is not threading.main_thread():
+                if it == 3:
+                    assert main_at_5.wait(timeout=60)
+                    raise RuntimeError("worker failed")
+                return
+            main_calls.append(it)
+            if main_calls == [1, 1, 2, 2, 3, 3, 4, 4, 5]:
+                # law 0's fifth call: let the worker raise, wait for its end
+                main_at_5.set()
+                for thread in set(threading.enumerate()) - before:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+
+        with cpus(2), pytest.raises(RuntimeError, match="worker failed"):
+            solve_capacity(stack, 1e-12, 20000, on_iteration)
+        # group 0 finishes the step it is in (law 2's call), then stops
+        assert main_calls == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert threading.active_count() == len(before)
+
+    def test_interrupt_on_the_calling_thread_stops_every_group(
+            self, monkeypatch):
+        stops = []  # the solve's stop event, to wait on
+        monkeypatch.setattr(delcap.baa, "threading", SimpleNamespace(
+            Event=lambda: stops.append(threading.Event()) or stops[-1],
+            Thread=threading.Thread))
+        stack = orbit_stack([build_binomial_deletion_channel(8, d)
+                             for d in (0.2, 0.4, 0.6, 0.8)])
+        threads = threading.active_count()
+        worker_calls = []
+        worker_at_3 = threading.Event()
+
+        def on_iteration(it, lower, upper):
+            if threading.current_thread() is threading.main_thread():
+                if it == 3:
+                    assert worker_at_3.wait(timeout=60)
+                    raise KeyboardInterrupt
+                return
+            worker_calls.append(it)
+            if len(worker_calls) == 5:  # law 1's third call
+                worker_at_3.set()
+                assert stops[0].wait(timeout=60)
+
+        with cpus(2), pytest.raises(KeyboardInterrupt):
+            solve_capacity(stack, 1e-12, 20000, on_iteration)
+        # the worker finishes the step it is in (law 3's call), then stops
+        assert worker_calls == [1, 1, 2, 2, 3, 3]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("count, split_min_entries",
+                             [(1, 0), (4, delcap.baa._SPLIT_MIN_ENTRIES)])
+    def test_no_thread_on_one_cpu_or_below_the_threshold(
+            self, count, split_min_entries):
+        stack = orbit_stack([build_binomial_deletion_channel(8, d)
+                             for d in (0.2, 0.4, 0.6, 0.8)])
+        assert stack._matrix_t.nnz < delcap.baa._SPLIT_MIN_ENTRIES
+        threads = threading.active_count()
+        seen = set()
+
+        def on_iteration(it, lower, upper):
+            seen.add((threading.current_thread() is threading.main_thread(),
+                      threading.active_count()))
+
+        with cpus(count, split_min_entries):
+            solve_capacity(stack, on_iteration=on_iteration)
+        assert seen == {(True, threads)}
 
     def test_uniform_information_in_one_pass(self):
         ds = [0.1, 1e-200, 0.6, 0.1]
@@ -396,6 +531,20 @@ class TestOneMatrix:
         assert_same_solve(orbit_stack(
             [build_binomial_deletion_channel(L, d) for d in ds]),
             5e-3, max_iterations)
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 9),
+           st.lists(st.floats(0.001, 0.999), min_size=2, max_size=5),
+           st.sampled_from([20000, 10, 30]))
+    @example(8, [0.1, 0.7, 0.5], 30)
+    def test_split_d_stack(self, count, L, ds, max_iterations):
+        stack = orbit_stack([build_binomial_deletion_channel(L, d)
+                             for d in ds])
+        serial = solve_capacity(stack, 5e-3, max_iterations)
+        with cpus(count):
+            assert_same_stack(assert_same_solve(stack, 5e-3, max_iterations),
+                              serial)
 
     def test_d_stack_whose_last_law_runs_alone(self):
         # 0.1 closes after 5 evaluations and 0.5 after 24; 0.7 then runs
