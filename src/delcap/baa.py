@@ -54,10 +54,12 @@ a smaller stack on the same stored counts, solved on its own thread;
 the calling thread takes group 0. Each law reads and writes only its
 own columns, so every sum keeps its order and each channel gets the
 bits it gets in the serial stack: the results do not depend on the CPU
-count through the split. (They can through BLAS: past 10,000 input
-orbits, from L=16, numpy's dot of a law with its divergences runs on
-OpenBLAS's threads, whose count follows the CPUs, and the last digits
-can move; that holds for the serial stack and single solves alike.)
+count through the split. Nor do they through BLAS: OpenBLAS splits a
+dot of more than 10,000 entries across its threads, whose count follows
+the CPUs, which would move the last digits of a mutual information from
+L=16 (16,512 input orbits) on; so each dot of a law with its divergences
+(_dot) adds up chunks of at most 10,000 entries, one thread each, in
+order.
 scipy's sparse products release the interpreter lock, so the groups'
 products run at once; the rest of a step is Python-bound and queues
 for the lock, which is why a stack is split only when its counts hold
@@ -90,6 +92,9 @@ _STEP_MAX = 16.0
 # in-process solves of 19, 6 and 2 laws): L=10 (19,670 entries) 1.14-1.81x
 # the serial time, L=11 (57,558) 0.92-1.18x, L=12 (172,596) 0.65-0.85x
 _SPLIT_MIN_ENTRIES = 100_000
+# OpenBLAS runs a dot of up to this many entries on one thread and splits a
+# longer one across its threads, whose count follows the CPUs
+_DOT_CHUNK = 10_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,15 @@ class BaaResult:
     iterations: int
     tolerance_achieved: float
     converged: bool
+
+
+def _dot(a, b):
+    """a · b added up over chunks of _DOT_CHUNK entries in order: the same
+    bits on any number of BLAS threads, and a @ b itself up to one chunk."""
+    total = float(a[:_DOT_CHUNK] @ b[:_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, len(a), _DOT_CHUNK):
+        total += float(a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK])
+    return total
 
 
 def _divergences(channel, dist):
@@ -152,7 +166,7 @@ def _iterate(start, tol_nats, max_iterations, on_iteration):
     plain = True  # take the trial as is: the start law, or a fallback
     for it in range(1, max_iterations + 1):
         t, t_div = yield trial
-        t_lower = float(t @ t_div)
+        t_lower = _dot(t, t_div)
         if plain or t_lower >= lower:
             t_gap = t_div - t_lower
             if not plain:  # grow where the gap kept its sign, else halve
@@ -340,6 +354,6 @@ def mutual_information(channel, input_distribution):
     if abs(float(dist.sum()) - 1.0) > 1e-9:
         raise ParameterError("distribution must sum to 1 within 1e-9")
     if channel._row_plogp.ndim == 1:
-        return float(dist @ _divergences(channel, dist)) / LN2
+        return _dot(dist, _divergences(channel, dist)) / LN2
     laws = np.tile(dist, (len(channel._row_plogp), 1))
-    return [float(dist @ div) / LN2 for div in _divergences(channel, laws)]
+    return [_dot(dist, div) / LN2 for div in _divergences(channel, laws)]

@@ -173,6 +173,16 @@ def _family_l_max(config, table, kind, **anchor):
     return resolve_l_max(table, kind, **anchor)
 
 
+def _c2_star_l_max(config, table, R):
+    """The c2_star depth at an asked-for R, in `bound`, `sweep` and
+    `limits` alike: --l-max, else resolved on the table raised to R+1,
+    so column R reaches its first solved cell (R+1, R) however shallow
+    the cache is."""
+    if config.l_max is None:
+        _reserve(config, table, R + 1, "L")
+    return _family_l_max(config, table, "c2_star", R=R)
+
+
 def _write_output(config, text):
     if config.output_path:
         Path(config.output_path).write_text(text, encoding="utf-8")
@@ -220,7 +230,8 @@ def _plan_specs(config, table, depth):
     genie families and c3 up to the depth, plus c4 at --L. The c1_star
     and c2_star depths are resolved before the table is raised past
     `depth`: a deeper table makes more cells resolvable and would move
-    them.
+    them. The one exception is an asked-for c2_star R, resolved on the
+    table raised to R+1 (_c2_star_l_max).
     """
     kind, tol = config.kind, config.solver_tolerance
     if kind == "erasure":
@@ -248,7 +259,9 @@ def _plan_specs(config, table, depth):
         counts = range(depth + 1) if config.D is None else (config.D,)
         specs = [family("c1_star", "D", D, **tail) for D in counts]
     elif kind == "c2_star":
-        specs = [family("c2_star", "R", config.R)]
+        specs = [BoundSpec("c2_star", {
+            "R": config.R, "l_max": _c2_star_l_max(config, table, config.R)},
+            tol)]
     else:
         specs = ([family("c1_star", "D", D) for D in range(depth + 1)]
                  + [family("c2_star", "R", R) for R in range(depth + 1)]
@@ -329,11 +342,10 @@ def _run_limits(config):
     if config.L is not None:
         _gate_long(config, config.L, "L")
     if config.R is not None:
-        # resolved on the table raised to R+1 and the command depth, before
-        # the raise to --L, which would move it
-        _reserve(config, table, config.R + 1, "L")
+        # resolved before the raise to --L, which would move it
+        lm = _c2_star_l_max(config, table, config.R)
+        _reserve(config, table, config.R + 1, "L")  # the small-d slope's cell
         _reserve(config, table, depth)
-        lm = _family_l_max(config, table, "c2_star", R=config.R)
         rows += [("limit_small_d_c2", {"R": config.R}, 0.0,
                   limit_small_d_c2(config.R, table), "lower", tol),
                  ("limit_large_d_c2", {"R": config.R, "l_max": lm}, 1.0,

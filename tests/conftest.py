@@ -1,7 +1,10 @@
+import os
 import time
+from contextlib import contextmanager
 
 import pytest
 
+import delcap.baa
 from delcap import build_default_table, save_table
 
 
@@ -45,3 +48,27 @@ def table_cache_path(default_table, tmp_path_factory):
     path = tmp_path_factory.mktemp("cache") / "ftable.txt"
     save_table(default_table, str(path))
     return str(path)
+
+
+@contextmanager
+def cpus(count, split_min_entries=0):
+    """Run with count CPUs available to the process and the given stack
+    split threshold (0 splits every stack of two or more laws). One CPU
+    also keeps populate_table serial, two or more let it fork."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity",
+                      lambda pid: set(range(count)), raising=False)
+        patch.setattr(delcap.baa, "_SPLIT_MIN_ENTRIES", split_min_entries)
+        yield
+
+
+def package_env(drop=()):
+    """The environment for a child interpreter that imports this delcap,
+    without the variables named in drop."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(
+        delcap.baa.__file__)))
+    env = {key: value for key, value in os.environ.items()
+           if key not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package] + [part for part in [os.environ.get("PYTHONPATH")] if part])
+    return env

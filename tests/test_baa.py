@@ -1,7 +1,7 @@
 import math
-import os
+import subprocess
+import sys
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -17,6 +17,7 @@ from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
                     solve_capacity)
 from delcap.channel import SparseChannel, orbit_channel, orbit_stack
 
+from conftest import cpus, package_env
 from reference_values import F_REFERENCE, bracket_matches_reference
 
 
@@ -211,6 +212,46 @@ class TestMutualInformation:
             mutual_information(channel, np.array([0.3, 0.3, 0.3, 0.3]))
 
 
+# the lower estimate of one step and the mutual information of a
+# 100,000-input channel, whose dots OpenBLAS would split across threads
+BLAS_SCRIPT = """
+import numpy as np
+from delcap.baa import _iterate, mutual_information
+from delcap.channel import SparseChannel
+
+n, m = 100_000, 1_000
+rng = np.random.default_rng(0)
+law = rng.random(n)
+law /= law.sum()
+column = _iterate(np.zeros(n), 1.0, 1, None)
+next(column)
+try:
+    column.send((law, rng.random(n)))
+except StopIteration as done:
+    print(done.value.capacity_lower.hex())
+first = rng.integers(0, m - 1, n)
+weight = rng.uniform(0.1, 0.9, n)
+channel = SparseChannel(
+    np.arange(0, 2 * n + 1, 2),
+    np.stack([first, rng.integers(first + 1, m)], axis=1).ravel(),
+    np.stack([weight, 1.0 - weight], axis=1).ravel(),
+    17, np.full(m, 10, dtype=np.int8), np.arange(m))
+print(mutual_information(channel, law).hex())
+"""
+
+
+class TestBlasThreads:
+    def test_dots_keep_their_bits_on_one_blas_thread(self):
+        # fails only where OpenBLAS may run more than one thread
+        env = package_env(drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+        runs = [subprocess.run([sys.executable, "-c", BLAS_SCRIPT], env=run,
+                               capture_output=True, text=True, check=True,
+                               timeout=120).stdout
+                for run in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})]
+        assert len(runs[0].split()) == 2
+        assert runs[0] == runs[1]
+
+
 class TestOverRelaxedSteps:
     @settings(deadline=None)
     @given(small_channels())
@@ -301,17 +342,6 @@ def stack_cases(test):
                  | st.floats(0.001, 0.999), min_size=1, max_size=6),
         st.floats(1e-4, 0.05),
         st.sampled_from([20000, 1, 3, 10, 30]))(test))
-
-
-@contextmanager
-def cpus(count, split_min_entries=0):
-    """Run with count CPUs available to the process and the given split
-    threshold (0 splits every stack of two or more laws)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity",
-                      lambda pid: set(range(count)), raising=False)
-        patch.setattr(delcap.baa, "_SPLIT_MIN_ENTRIES", split_min_entries)
-        yield
 
 
 def assert_same_stack(got, want):

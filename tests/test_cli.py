@@ -15,6 +15,7 @@ from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
 from delcap.channel import _binomial_structure
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, build_parser, main
 
+from conftest import cpus
 from reference_values import F_REFERENCE, bracket_matches_reference
 
 
@@ -67,8 +68,9 @@ class TestTableCommand:
         monkeypatch.setattr(delcap.tables, "build_fixed_deletion_channel",
                             counted)
         cache = tmp_path / "t.txt"
-        code, _, _ = run_cli(capsys, "table", "--l-max", "6",
-                             "--diag-l-max", "7", "--cache", str(cache))
+        with cpus(1):  # every build in this process
+            code, _, _ = run_cli(capsys, "table", "--l-max", "6",
+                                 "--diag-l-max", "7", "--cache", str(cache))
         assert code == 0
         solved = sorted(cell for cell, entry in load_table(cache).entries.items()
                         if entry.source == "baa")
@@ -394,6 +396,26 @@ class TestLimitsCommand:
         assert rows_of(alone)[1][1] == "R=4;l_max=5"
         assert rows_of(both)[0][1] == "L=10"
         assert rows_of(both)[1:] == rows_of(alone)
+
+    @pytest.mark.parametrize("R", [5, 8])
+    def test_survivor_depth_is_one_rule_for_bound_and_limits(
+            self, capsys, tmp_path, R):
+        # on a shallow cache both commands resolve column R on the table
+        # raised to R+1
+        cache = str(tmp_path / "l5.txt")
+        assert run_cli(capsys, "table", "--l-max", "5", "--cache", cache)[0] == 0
+        code, limits, _ = run_cli(capsys, "limits", "--R", str(R),
+                                  "--cache", cache)
+        assert code == 0
+        code, bound, _ = run_cli(capsys, "bound", "--kind", "c2_star",
+                                 "--R", str(R), "--d", "0.9", "--cache", cache)
+        assert code == 0
+        params = f"R={R};l_max={R + 1}"
+        assert rows_of(limits)[1][1] == rows_of(bound)[0][1] == params
+        table = load_table(cache)
+        table.l_max = R + 1
+        assert float(rows_of(bound)[0][3]) == bound_c2_star(R, R + 1, 0.9,
+                                                            table)
 
     def test_needs_a_parameter(self, capsys):
         assert run_cli(capsys, "limits") == (

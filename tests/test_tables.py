@@ -1,5 +1,14 @@
+import copy
 import math
+import multiprocessing
+import os
+import select
+import subprocess
+import sys
+import time
+import warnings
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +17,8 @@ from hypothesis import strategies as st
 import delcap.channel
 import delcap.tables
 from delcap import (CoefficientTable, ExtrapolationRequiredError,
-                    ParameterError, ResourceLimitError, TableChecksumError,
+                    ParameterError, ResourceLimitError,
+                    SolverNotConvergedError, TableChecksumError,
                     TableEntry, TableRowError, TableVersionError, alpha,
                     alpha_tilde,
                     closed_form_f, extrapolate_alpha_lemma2,
@@ -17,6 +27,7 @@ from delcap import (CoefficientTable, ExtrapolationRequiredError,
 from delcap.tables import (SOURCE_BAA, SOURCE_CLOSED, TABLE_HEADER,
                            _compute_entry)
 
+from conftest import cpus, package_env
 from reference_values import (F_REFERENCE, TABLE_VALUE_TOLERANCE,
                               bracket_matches_reference)
 
@@ -221,7 +232,8 @@ class TestPopulate:
                 yield L, R, block
 
         monkeypatch.setattr(delcap.channel, "count_blocks", recorded)
-        table = populate_table(CoefficientTable(l_max=6), diagonal_l_max=7)
+        with cpus(1):  # the walk of one process
+            table = populate_table(CoefficientTable(l_max=6), diagonal_l_max=7)
         assert (7, 6) in table.entries and (6, 4) in table.entries
         assert {(L, R) for L, R in yielded if L >= 6} == {(6, 5), (6, 6)}
 
@@ -243,7 +255,8 @@ class TestPopulate:
 
         monkeypatch.setattr(delcap.channel, "_stack_folds", recorded)
         monkeypatch.setattr(delcap.tables, "solve_capacity", checked)
-        populate_table(CoefficientTable(l_max=5), diagonal_l_max=6)
+        with cpus(1):  # every solve in this process
+            populate_table(CoefficientTable(l_max=5), diagonal_l_max=6)
         assert freed == [True] * 7  # (3, 2) .. (5, 4), then (6, 5)
 
     def test_over_budget_cell_refused_before_any_solve(self, monkeypatch):
@@ -252,9 +265,10 @@ class TestPopulate:
                             lambda *a, **k: solves.append(a))
         # (6, 3) may need 2^6 * 8 = 512 entries; every smaller cell fits
         table = CoefficientTable(l_max=6, entry_budget=511)
-        with pytest.raises(ResourceLimitError,
-                           match=r"^fixed channel \(6,3\) may need 512"
-                                 r" entries, budget 511$"):
+        with cpus(1), pytest.raises(
+                ResourceLimitError,
+                match=r"^fixed channel \(6,3\) may need 512"
+                      r" entries, budget 511$"):
             populate_table(table)
         assert solves == []
         assert all(entry.source == SOURCE_CLOSED
@@ -266,8 +280,9 @@ class TestPopulate:
                             lambda *a, **k: solves.append(a))
         # every diagonal cell up to (23, 22) fits the default entry budget
         table = CoefficientTable(l_max=2)
-        with pytest.raises(ResourceLimitError,
-                           match=r"^L=23 beyond the block-length cap 22$"):
+        with cpus(1), pytest.raises(
+                ResourceLimitError,
+                match=r"^L=23 beyond the block-length cap 22$"):
             populate_table(table, diagonal_l_max=23)
         assert solves == []
 
@@ -280,6 +295,184 @@ class TestPopulate:
     def test_diagonal_below_l_max_rejected(self):
         with pytest.raises(ParameterError):
             populate_table(CoefficientTable(l_max=5), diagonal_l_max=4)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The processes that populate_table starts, in start order."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recorded(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        recorded)
+    return started
+
+
+def assert_reaped(worker):
+    assert worker.exitcode is not None
+    with pytest.raises(ChildProcessError):  # joined: no zombie left
+        os.waitpid(worker.pid, os.WNOHANG)
+
+
+def build(count, l_max=6, diagonal_l_max=8):
+    with cpus(count):
+        return populate_table(CoefficientTable(l_max=l_max),
+                              diagonal_l_max=diagonal_l_max)
+
+
+def patch_solve(monkeypatch, cell, change):
+    """Run change(table) instead of _compute_entry at one cell, in
+    whichever process solves it."""
+    compute = delcap.tables._compute_entry
+
+    def patched(table, L, R, channel=None):
+        if (L, R) == cell:
+            table = change(table)
+        return compute(table, L, R, channel)
+
+    monkeypatch.setattr(delcap.tables, "_compute_entry", patched)
+
+
+def one_iteration(table):
+    table = copy.copy(table)
+    table.max_iterations = 1
+    return table
+
+
+# a split build whose cells never finish, in both processes; it prints
+# the worker's pid once the worker has started
+STALLED_BUILD = """
+import multiprocessing.process
+import os
+import time
+
+import delcap.tables
+from delcap import CoefficientTable, populate_table
+
+os.sched_getaffinity = lambda pid: {0, 1}
+start = multiprocessing.process.BaseProcess.start
+
+
+def announced(process):
+    start(process)
+    print(process.pid, flush=True)
+
+
+multiprocessing.process.BaseProcess.start = announced
+delcap.tables._compute_entry = lambda *args: time.sleep(600)
+populate_table(CoefficientTable(l_max=6), diagonal_l_max=8)
+"""
+
+
+def running(pid):
+    """Whether a process runs: it exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestSplitBuild:
+    def test_same_bytes_as_serial(self, workers):
+        serial = build(1)
+        assert workers == []
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when it forks with threads alive
+            warnings.simplefilter("error", DeprecationWarning)
+            split = build(2)
+        [worker] = workers
+        assert_reaped(worker)
+        assert worker.exitcode == 0
+        assert serialize_table(split) == serialize_table(serial)
+        assert list(split.entries) == list(serial.entries)
+
+    @pytest.mark.parametrize("cell", [(5, 3), (6, 4), (8, 7)],
+                             ids=["shallow", "deepest-row", "diagonal"])
+    def test_stuck_cell_raises_as_serial(self, monkeypatch, workers, cell):
+        patch_solve(monkeypatch, cell, one_iteration)
+        errors, tables = [], []
+        for count in (1, 2):
+            table = CoefficientTable(l_max=6)
+            with cpus(count), pytest.raises(SolverNotConvergedError) as error:
+                populate_table(table, diagonal_l_max=8)
+            errors.append(error.value)
+            tables.append(table)
+        serial, split = errors
+        assert str(split) == str(serial)
+        assert str(serial).startswith(f"f({cell[0]},{cell[1]}) bracket stuck")
+        assert split.result.iterations == serial.result.iterations == 1
+        assert split.result.capacity_lower == serial.result.capacity_lower
+        assert split.result.capacity_upper == serial.result.capacity_upper
+        assert (split.result.input_distribution.tobytes()
+                == serial.result.input_distribution.tobytes())
+        assert list(tables[1].entries.items()) == list(
+            tables[0].entries.items())
+        [worker] = workers
+        assert_reaped(worker)
+
+    def test_interrupt_stops_the_worker(self, monkeypatch, workers):
+        parent = os.getpid()
+
+        def interrupt(table):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return table
+
+        patch_solve(monkeypatch, (5, 4), interrupt)
+        with cpus(2), pytest.raises(KeyboardInterrupt):
+            populate_table(CoefficientTable(l_max=6), diagonal_l_max=8)
+        [worker] = workers
+        assert_reaped(worker)
+
+    def test_dead_worker_is_an_error(self, monkeypatch, workers):
+        patch_solve(monkeypatch, (6, 2), lambda table: os._exit(7))
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            build(2)
+        [worker] = workers
+        assert_reaped(worker)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads process states from /proc")
+    def test_worker_ends_with_a_killed_parent(self):
+        child = subprocess.Popen(
+            [sys.executable, "-c", STALLED_BUILD], env=package_env(),
+            stdout=subprocess.PIPE, text=True)
+        try:
+            assert select.select([child.stdout], [], [], 60)[0], "no worker"
+            worker = int(child.stdout.readline())
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+        deadline = time.monotonic() + 30
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(worker)
+
+    def test_serial_where_it_cannot_split(self, monkeypatch, workers):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        full = build(1)
+        table = build(1, diagonal_l_max=6)
+        with cpus(2):
+            populate_table(table, diagonal_l_max=8)  # the worker's share only
+            assert table == full
+            del table.entries[(4, 2)]
+            populate_table(table, diagonal_l_max=8)  # this process's only
+            assert serialize_table(table) == serialize_table(full)
+            populate_table(table, diagonal_l_max=8)  # nothing to solve
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: SimpleNamespace(daemon=True))
+            daemonic = populate_table(CoefficientTable(l_max=6),
+                                      diagonal_l_max=8)  # a pool's worker
+        assert serialize_table(daemonic) == serialize_table(full)
+        assert workers == []
 
 
 class TestPersistence:
