@@ -10,6 +10,7 @@ per-letter solve for c4 uses its certified-upper estimate.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -106,13 +107,15 @@ class BoundCurve:
 
 
 class _Grid:
-    """Deletion probabilities d as a 1-D array, with the powers d**k and
-    (1-d)**k that the length weights need, each computed once and shared
-    by every bound evaluated on the grid.
+    """Deletion probabilities d as a 1-D array, with the length weights
+    p(L, R) and the powers d**k and (1-d)**k behind them, each computed
+    once and shared by every bound evaluated on the grid. Both caches
+    hand out read-only arrays.
 
-    Each power comes from Python's float `**` (the C library's pow),
-    as in binomial_weight; numpy's vectorised power can differ from it
-    in the last bit, which would move printed values.
+    Each power is the C library's pow of a Python float, as in
+    binomial_weight's `**`, taken by math.pow in one pass; numpy's
+    vectorised power can differ from it in the last bit, which would
+    move printed values.
     """
 
     def __init__(self, d):
@@ -124,11 +127,14 @@ class _Grid:
         points = self.values.tolist()
         self._bases = (points, [1.0 - x for x in points])
         self._powers = ({}, {})
+        self._weights = {}
 
     def _power(self, side, k):
         powers = self._powers[side]
         if k not in powers:
-            powers[k] = np.array([x ** k for x in self._bases[side]])
+            bases = self._bases[side]
+            powers[k] = _frozen(np.fromiter(
+                map(math.pow, bases, repeat(float(k))), float, len(bases)))
         return powers[k]
 
     def weight(self, L, R):
@@ -137,8 +143,17 @@ class _Grid:
         entry equals binomial_weight(L, R, d).value. That holds up to
         L = 64; past it binomial_weight switches to log-gamma, and no
         table reaches that far."""
-        return np.minimum(
-            math.comb(L, R) * self._power(0, L - R) * self._power(1, R), 1.0)
+        weights = self._weights
+        if (L, R) not in weights:
+            weights[L, R] = _frozen(np.minimum(
+                math.comb(L, R) * self._power(0, L - R) * self._power(1, R),
+                1.0))
+        return weights[L, R]
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
 
 
 def _grid(d):

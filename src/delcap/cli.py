@@ -95,8 +95,8 @@ def build_parser():
                         help=f"permit depths past {LONG_RUN_LIMIT} (seconds"
                              " to minutes and up to gigabytes of memory:"
                              " the diagonal to 22 takes about 8 s and"
-                             " 0.8 GB; an L=17 c4 solve about 15 s and"
-                             " 1.0 GB)")
+                             " 0.8 GB; an L=17 c4 solve about 12 s and"
+                             " 0.8 GB)")
 
     p_table = sub.add_parser(
         "table", parents=[common],
@@ -195,10 +195,16 @@ def _format_params(parameters):
 
 
 def _csv(rows):
+    """The CSV text of rows. Rows that share one parameters dict share
+    its `kind,params,` prefix, formatted once. rows holds every dict for
+    the whole call, so no two of them share an id."""
     lines = [CSV_HEADER]
+    prefixes = {}
     for kind, parameters, d, value, side, tolerance in rows:
-        lines.append(f"{kind},{_format_params(parameters)},{d!r},{value!r},"
-                     f"{side},{tolerance!r}")
+        key = kind, id(parameters)
+        if key not in prefixes:
+            prefixes[key] = f"{kind},{_format_params(parameters)},"
+        lines.append(f"{prefixes[key]}{d!r},{value!r},{side},{tolerance!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -294,22 +300,27 @@ def _pointwise_rows(config, specs, grid, table):
     on the open interval, in one pass over it, and the closed form at the
     endpoints. `best` names the winning family. A c1_star scan names the
     winning D; it reports an erasure win as its D=0 spec, whose value is
-    the erasure bound itself."""
+    the erasure bound itself. Each winning spec gets one parameters dict,
+    shared by all its rows."""
     inner = [d for d in grid if d != 0.0 and d != 1.0]
     values, winners = compose_best_upper(inner, specs, table)
     served = zip(values.tolist(), winners)
+    erasure = BoundSpec("erasure")
+    named = {}  # id of a winning spec -> the parameters its rows print
     rows = []
     for d in grid:
         if d == 0.0 or d == 1.0:
-            value, winner = 1.0 - d, BoundSpec("erasure")
+            value, winner = 1.0 - d, erasure
         else:
             value, winner = next(served)
-        if config.kind == "best":
-            parameters = {**winner.parameters, "winner": winner.kind}
-        else:
-            parameters = (specs[0] if winner.kind == "erasure"
-                          else winner).parameters
-        rows.append((config.kind, parameters, d, value, "upper",
+        if id(winner) not in named:
+            if config.kind == "best":
+                named[id(winner)] = {**winner.parameters,
+                                     "winner": winner.kind}
+            else:
+                named[id(winner)] = (specs[0] if winner.kind == "erasure"
+                                     else winner).parameters
+        rows.append((config.kind, named[id(winner)], d, value, "upper",
                      config.solver_tolerance))
     return rows
 

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 import delcap.baa
-from delcap import build_default_table, save_table
+from delcap import BoundSpec, build_default_table, resolve_l_max, save_table
 
 
 def pytest_addoption(parser):
@@ -72,3 +72,12 @@ def package_env(drop=()):
     env["PYTHONPATH"] = os.pathsep.join(
         [package] + [part for part in [os.environ.get("PYTHONPATH")] if part])
     return env
+
+
+def best_specs(table):
+    """The table-backed specs `sweep --kind best` composes on table."""
+    return ([BoundSpec("c1_star", {"D": D, "l_max": resolve_l_max(
+                table, "c1_star", D=D)}) for D in range(table.l_max + 1)]
+            + [BoundSpec("c2_star", {"R": R, "l_max": resolve_l_max(
+                table, "c2_star", R=R)}) for R in range(table.l_max + 1)]
+            + [BoundSpec("c3", {"L": L}) for L in range(1, table.l_max + 1)])

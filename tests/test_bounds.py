@@ -15,6 +15,7 @@ from delcap import (BoundSpec, ParameterError, SolverNotConvergedError,
 from delcap.bounds import BOUND_KINDS, LOWER_KINDS, UPPER_KINDS
 from delcap.tables import CoefficientTable
 
+from conftest import best_specs
 from reference_values import (ALPHA_TILDE_DIAGONAL, PRIOR_LARGE_D_LOWER,
                               PRIOR_LARGE_D_UPPER)
 
@@ -447,6 +448,17 @@ class TestGridExactness:
         assert values.tolist() == [_c3_by_formula(L, d, default_table)
                                    for d in grid]
 
+    @settings(deadline=None, max_examples=40)
+    @given(grid=_open_grids)
+    def test_weights_to_the_diagonal(self, grid):
+        # every cell a table reaches, the single-deletion diagonal to 22
+        # included, read from one grid whose power lists they all share
+        weights = delcap.bounds._Grid(grid)
+        for L in range(23):
+            for R in range(L + 1):
+                assert weights.weight(L, R).tolist() == [
+                    binomial_weight(L, R, d).value for d in grid]
+
     def test_one_number_in_one_float_out(self, default_table):
         for value in (bound_c3(4, 0.3, default_table),
                       bound_c2_star(4, 12, 0.3, default_table),
@@ -472,6 +484,38 @@ class TestGridExactness:
                                                          default_table)
         assert [w.kind for w in compose_best_upper(
             grid, specs[:1], default_table)[1]] == ["erasure"] * len(grid)
+
+
+class TestGridCaches:
+    """A grid computes each length weight and each power list once, and
+    every bound evaluated on it reads the same array."""
+
+    def test_best_specs_share_each_weight_and_power(self, default_table,
+                                                    monkeypatch):
+        returned = {"weight": [], "_power": []}  # (arguments, array)
+
+        def spy(name):
+            method = getattr(delcap.bounds._Grid, name)
+
+            def wrapper(self, *key):
+                array = method(self, *key)
+                returned[name].append((key, array))
+                return array
+            monkeypatch.setattr(delcap.bounds._Grid, name, wrapper)
+
+        spy("weight")
+        spy("_power")
+        grid = delcap.bounds._Grid(d_grid(0.05, 0.95, 0.05))
+        compose_best_upper(grid, best_specs(default_table), default_table)
+        for calls in returned.values():
+            arrays = {}
+            for key, array in calls:
+                assert arrays.setdefault(key, array) is array
+            assert len(calls) > len(arrays)  # the specs do share them
+        cell = returned["weight"][0][0]
+        assert grid.weight(*cell) is grid.weight(*cell)
+        with pytest.raises(ValueError):
+            grid.weight(*cell)[0] = 0.5
 
 
 class TestGridAndSweep:

@@ -15,7 +15,7 @@ from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
 from delcap.channel import _binomial_structure
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, build_parser, main
 
-from conftest import cpus
+from conftest import best_specs, cpus
 from reference_values import F_REFERENCE, bracket_matches_reference
 
 
@@ -23,6 +23,13 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def row_line(kind, parameters, d, value):
+    """One upper-bound CSV line, formatted on its own."""
+    params = ";".join(f"{key}={parameters[key]}"
+                      for key in sorted(parameters))
+    return f"{kind},{params},{d!r},{value!r},upper,{DEFAULT_TOLERANCE!r}"
 
 
 def rows_of(out):
@@ -303,24 +310,42 @@ class TestSweepCommand:
                                "--d-grid", "0:1:0.125", "--L", "3",
                                "--cache", table_cache_path)
         assert code == 0
-        specs = ([BoundSpec("c1_star", {"D": D, "l_max": resolve_l_max(
-                     default_table, "c1_star", D=D)}) for D in range(13)]
-                 + [BoundSpec("c2_star", {"R": R, "l_max": resolve_l_max(
-                     default_table, "c2_star", R=R)}) for R in range(13)]
-                 + [BoundSpec("c3", {"L": L}) for L in range(1, 13)]
-                 + [BoundSpec("c4", {"L": 3})])
+        specs = best_specs(default_table) + [BoundSpec("c4", {"L": 3})]
         lines = [CSV_HEADER]
         for d in d_grid(0.0, 1.0, 0.125):
             if d in (0.0, 1.0):
                 value, winner = 1.0 - d, BoundSpec("erasure")
             else:
                 value, winner = compose_best_upper(d, specs, default_table)
-            params = {**winner.parameters, "winner": winner.kind}
-            lines.append(
-                f"best,{';'.join(f'{k}={params[k]}' for k in sorted(params))},"
-                f"{d!r},{value!r},upper,{DEFAULT_TOLERANCE!r}")
+            lines.append(row_line("best", {**winner.parameters,
+                                           "winner": winner.kind}, d, value))
         assert out == "\n".join(lines) + "\n"
         assert "np.float64(" not in out
+
+    @pytest.mark.parametrize("kind", ["best", "c1_star"])
+    def test_fine_grid_rows_match_composition_one_d_at_a_time(
+            self, capsys, table_cache_path, default_table, kind):
+        # the curves_warm grid: 1999 rows from a handful of winners, each
+        # line against the row composed and formatted at its d alone
+        code, out, _ = run_cli(capsys, "sweep", "--kind", kind,
+                               "--d-grid", "0.0005:0.9995:0.0005",
+                               "--cache", table_cache_path)
+        assert code == 0
+        specs = best_specs(default_table)
+        if kind == "c1_star":
+            specs = [spec for spec in specs if spec.kind == "c1_star"]
+        grid = d_grid(0.0005, 0.9995, 0.0005)
+        lines = out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == len(grid) + 1
+        for d, line in zip(grid, lines[1:]):
+            value, winner = compose_best_upper(d, specs, default_table)
+            if kind == "best":
+                parameters = {**winner.parameters, "winner": winner.kind}
+            else:
+                parameters = (specs[0] if winner.kind == "erasure"
+                              else winner).parameters
+            assert line == row_line(kind, parameters, d, value)
 
     @pytest.mark.parametrize("family", [
         ("--kind", "c3", "--L", "4"),
@@ -512,3 +537,16 @@ def test_readme_commands_parse():
     for argv in commands:
         # argparse exits on a flag no subparser defines
         parser.parse_args(argv)
+
+
+def test_readme_commands_run_in_order(capsys, tmp_path, monkeypatch):
+    # the first command writes the ftable.txt every later one reads
+    monkeypatch.chdir(tmp_path)
+    for argv in readme_commands():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv[0] in ("bound", "sweep", "limits"):
+            if "--out" in argv:
+                out = Path(argv[argv.index("--out") + 1]).read_text()
+            assert out.splitlines()[0] == CSV_HEADER, argv
+    assert (tmp_path / "ftable.txt").is_file()
