@@ -47,33 +47,31 @@ stack when its bracket closes or its iterations run out; the last one
 open runs with the single-law products. Laws never pass from one
 channel to another, so no channel's result depends on the others.
 
-So a large stack is also split across threads. With k = min(CPUs
+A large stack is also split across processes. With k = min(CPUs
 available to the process, channels), the channels fall into k
 interleaved groups (channels i, i + k, i + 2k, ...), and each group is
-a smaller stack on the same stored counts, solved on its own thread;
-the calling thread takes group 0. Each law reads and writes only its
-own columns, so every sum keeps its order and each channel gets the
-bits it gets in the serial stack: the results do not depend on the CPU
-count through the split. Nor do they through BLAS: OpenBLAS splits a
-dot of more than 10,000 entries across its threads, whose count follows
-the CPUs, which would move the last digits of a mutual information from
-L=16 (16,512 input orbits) on; so each dot of a law with its divergences
-(_dot) adds up chunks of at most 10,000 entries, one thread each, in
-order.
-scipy's sparse products release the interpreter lock, so the groups'
-products run at once; the rest of a step is Python-bound and queues
-for the lock, which is why a stack is split only when its counts hold
-at least _SPLIT_MIN_ENTRIES entries.
+a smaller stack on the same stored counts, solved by workers.run_shares:
+the calling process takes group 0 and a forked worker each other group.
+Each law reads and writes only its own columns, so every sum keeps its
+order and each channel gets the bits it gets in the serial stack: the
+results do not depend on the CPU count through the split. Nor do they
+through BLAS: OpenBLAS splits a dot of more than 10,000 entries across
+its threads, whose count follows the CPUs, which would move the last
+digits of a mutual information from L=16 (16,512 input orbits) on; so
+each dot of a law with its divergences (_dot) adds up chunks of at most
+10,000 entries, one thread each, in order. A fork and the trip of the
+results through a pipe cost a few milliseconds, which is why a stack is
+split only when its counts' entries times its laws reach
+_SPLIT_MIN_ENTRIES.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError
+from .workers import cpu_count, run_shares
 
 LN2 = math.log(2.0)
 DEFAULT_TOLERANCE = 5e-3
@@ -87,11 +85,18 @@ _FLOOR = 1e-300
 _STEP_START = 2.0
 _STEP_GROWTH = 1.3
 _STEP_MAX = 16.0
-# a stack is split across threads only when its counts C hold at least this
-# many entries. Split on 2 CPUs against serial (medians of 7-9 alternating
-# in-process solves of 19, 6 and 2 laws): L=10 (19,670 entries) 1.14-1.81x
-# the serial time, L=11 (57,558) 0.92-1.18x, L=12 (172,596) 0.65-0.85x
-_SPLIT_MIN_ENTRIES = 100_000
+# a stack is split across forked workers only when its counts C hold at
+# least this many entries summed over its laws (entries × laws): on a 2-vCPU
+# VM a fork and its join cost 5-8 ms, so a split pays by the work it shares,
+# not by the size of C. Split on 2 CPUs against serial (medians of 15
+# alternating in-process solves; entries × laws in brackets; a range spans
+# four or five runs):
+#   L=10 (19,670 entries), 19 laws (374k) 0.85-1.25x the serial time
+#   L=11 (57,558), 2 laws (115k) 1.80x, 6 (345k) 1.18x, 19 (1.09M) 0.83-0.91x
+#   L=12 (172,596), 2 laws (345k) 1.24x, 4 (690k) 0.71x, 6 (1.04M) 0.91x,
+#        19 (3.28M) 0.69-0.91x
+#   L=13 (513,799), 2 laws (1.03M) 0.94x, 4 (2.06M) 0.64x
+_SPLIT_MIN_ENTRIES = 500_000
 # OpenBLAS runs a dot of up to this many entries on one thread and splits a
 # longer one across its threads, whose count follows the CPUs
 _DOT_CHUNK = 10_000
@@ -192,17 +197,16 @@ def _iterate(start, tol_nats, max_iterations, on_iteration):
                      (upper - lower) / LN2, False)
 
 
-def _solve_one(channel, column, trial, stop=None):
+def _solve_one(channel, column, trial):
     """Drive one law's iteration on a single channel, from its pending
-    trial to its result, or to None once the stop event is set."""
+    trial to its result."""
     try:
-        while stop is None or not stop.is_set():
+        while True:
             w = np.exp(trial)
             t = w / w.sum()
             trial = column.send((t, _divergences(channel, t)))
     except StopIteration as done:
         return done.value
-    return None
 
 
 def _rows(stack, index):
@@ -212,19 +216,16 @@ def _rows(stack, index):
                    _row_plogp=stack._row_plogp[index])
 
 
-def _solve_stack(stack, columns, stop=None):
+def _solve_stack(stack, columns):
     """Drive one iteration per channel of a stack. Each step normalises
     the open laws and evaluates their divergences together; a channel
     leaves the stack when its iteration returns, and the last one open
-    runs on its own, with the single-law products. Once the stop event
-    is set, the stack stops at its next step and returns None."""
+    runs on its own, with the single-law products."""
     results = [None] * len(columns)
     open_ = list(range(len(columns)))
     trials = [next(column) for column in columns]
     rows = stack
     while len(open_) > 1:
-        if stop is not None and stop.is_set():
-            return None
         w = np.exp(np.array(trials))
         t = w / w.sum(axis=1, keepdims=True)
         t_div = _divergences(rows, t)
@@ -239,58 +240,8 @@ def _solve_stack(stack, columns, stop=None):
             open_ = still
             rows = _rows(stack, open_)
     for i, trial in zip(open_, trials):
-        results[i] = _solve_one(_rows(stack, i), columns[i], trial, stop)
-        if results[i] is None:
-            return None
+        results[i] = _solve_one(_rows(stack, i), columns[i], trial)
     return StackResult(tuple(results))
-
-
-def _cpu_count():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _solve_split(stack, columns, k):
-    """Solve a stack as k interleaved groups, channels g, g + k, ... in
-    group g, each a smaller stack driven on its own thread; the calling
-    thread drives group 0. An exception in any group stops every group
-    at its next step and is re-raised once all threads are joined."""
-    stop = threading.Event()
-    groups = [list(range(g, len(columns), k)) for g in range(k)]
-    results = [None] * k
-    errors = []
-
-    def run(g):
-        try:
-            results[g] = _solve_stack(_rows(stack, groups[g]),
-                                      [columns[i] for i in groups[g]], stop)
-        except BaseException as error:  # re-raised below, after the joins
-            errors.append(error)
-            stop.set()
-
-    threads = [threading.Thread(target=run, args=(g,)) for g in range(1, k)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
-    except BaseException:  # an interrupt outside run(0): stop the groups
-        stop.set()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    merged = [None] * len(columns)
-    for group, result in zip(groups, results):
-        for i, column in zip(group, result.columns):
-            merged[i] = column
-    return StackResult(tuple(merged))
 
 
 def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
@@ -316,12 +267,12 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
     On a stack (the OrbitChannel that orbit_stack builds), each channel
     runs its own iteration, exactly as it would alone: max_iterations
     caps each one, and on_iteration is invoked for each. The result is
-    a StackResult. A stack whose counts hold at least
-    _SPLIT_MIN_ENTRIES entries is split into k = min(CPUs available to
-    the process, channels) interleaved groups, one thread each (see the
-    module docstring); on_iteration may then run on a worker thread,
-    with calls for different channels interleaved. The result does not
-    depend on k.
+    a StackResult. A stack whose counts' entries times its channels
+    reach _SPLIT_MIN_ENTRIES is split into k = min(CPUs available to the
+    process, channels) interleaved groups, solved by forked workers
+    (see the module docstring); the result does not depend on k. A stack
+    solved with on_iteration is not split, since a worker's calls could
+    not reach the callback.
     """
     if tolerance <= 0.0:
         raise ParameterError("tolerance must be positive")
@@ -330,12 +281,24 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
     tol_nats = tolerance * LN2
     start = np.log(channel.input_sizes)
     if channel._row_plogp.ndim == 2:
-        columns = [_iterate(start, tol_nats, max_iterations, on_iteration)
-                   for _ in channel._row_plogp]
-        k = min(_cpu_count(), len(columns))
-        if k > 1 and channel._matrix_t.nnz >= _SPLIT_MIN_ENTRIES:
-            return _solve_split(channel, columns, k)
-        return _solve_stack(channel, columns)
+        def solve(stack):
+            return _solve_stack(stack, [
+                _iterate(start, tol_nats, max_iterations, on_iteration)
+                for _ in stack._row_plogp])
+
+        laws = len(channel._row_plogp)
+        k = min(cpu_count(), laws)
+        if (k == 1 or on_iteration is not None
+                or channel._matrix_t.nnz * laws < _SPLIT_MIN_ENTRIES):
+            return solve(channel)
+
+        def group(g):  # channels g, g + k, g + 2k, ...
+            return solve(_rows(channel, list(range(g, laws, k))))
+
+        merged = [None] * laws
+        for g, result in enumerate(run_shares(group, range(k))):
+            merged[g::k] = result.columns
+        return StackResult(tuple(merged))
     column = _iterate(start, tol_nats, max_iterations, on_iteration)
     return _solve_one(channel, column, next(column))
 

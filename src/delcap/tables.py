@@ -9,38 +9,27 @@ certified lower bounds on the gap alpha = R - f: one uses that the gap
 never shrinks with block length, the other telescopes the per-step
 shrink factor (1 - D/(L+1)) along the deleted-count diagonal.
 
-populate_table solves the cells it lacks on two processes where it can.
-A worker forked at the start takes the deepest full row (L = l_max) and
-the diagonal past it; the calling process takes the shallower rows.
-Each runs the same serial loop over its share, from one count walk, and
-the worker's entries are merged after the caller's in walk order, so
-the table has the same bytes as a serial build. The build stays serial
-on one CPU, without the fork start method, in a daemonic process, or
-when either share is empty. It is a process and not a thread because
-each solve step makes about twenty short numpy calls and threads queue
-for the interpreter lock between them: on 2 vCPUs the 18 cells of at
-least 10,000 entries in `table --l-max 13 --diag-l-max 14`, folded
-beforehand, solved in a median 0.16 s on a two-thread pool against
-0.13 s serially (slower in 6 of 6 alternating runs), while with the
-forked worker the benchmark of that command plus `verify` (`table_build`)
-reads 0.42 s against 0.64 s serially (medians of 10 alternating pairs).
+populate_table solves the cells it lacks on two processes where it can
+(workers.run_shares): a forked worker takes the deepest full row
+(L = l_max) and the diagonal past it, while the calling process takes
+the shallower rows. Each runs the same serial loop over its share, from
+one count walk, and the shares' entries are merged in share order, which
+is walk order, so the table has the same bytes as a serial build.
 """
 
 import math
-import os
-import signal
-import threading
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .baa import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, _cpu_count,
-                  solve_capacity)
+from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, solve_capacity
 from .channel import (DEFAULT_ENTRY_BUDGET, _cell_folds, _check_fixed_cell,
                       build_fixed_deletion_channel, orbit_channel)
 from .errors import (ExtrapolationRequiredError, ParameterError,
                      SolverNotConvergedError, TableChecksumError,
                      TableRowError, TableVersionError)
+from .workers import cpu_count, run_shares
 
 TABLE_HEADER = "delcap-ftable v1"
 
@@ -118,22 +107,6 @@ def _check_side(side):
         raise ParameterError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
-def _compute_entry(table, L, R, channel=None):
-    # channel: the cell on its orbits, when a _cell_folds walk has made it
-    if channel is None:
-        channel = orbit_channel(build_fixed_deletion_channel(
-            L, R, entry_budget=table.entry_budget))
-    result = solve_capacity(channel, table.tolerance, table.max_iterations)
-    if not result.converged:
-        raise SolverNotConvergedError(
-            f"f({L},{R}) bracket stuck at width {result.tolerance_achieved}"
-            f" after {result.iterations} iterations", result=result)
-    entry = TableEntry(result.capacity_lower, result.capacity_upper,
-                       table.tolerance, SOURCE_BAA)
-    table.entries[(L, R)] = entry
-    return entry
-
-
 def f_value(L, R, table, side):
     """One side of the certified bracket around f(L, R).
 
@@ -152,7 +125,9 @@ def f_value(L, R, table, side):
             raise ExtrapolationRequiredError(
                 f"f({L},{R}) is beyond the populated range (l_max="
                 f"{table.l_max}); extrapolate instead")
-        entry = _compute_entry(table, L, R)
+        _check_fixed_cell(L, R, table.entry_budget)  # before any walk
+        _solve_cells(table, [(L, R)])
+        entry = table.entries[(L, R)]
     return entry.f_lower if side == "lower" else entry.f_upper
 
 
@@ -223,88 +198,36 @@ def extrapolate_tilde_alpha_lemma4(L, D, table, start=None):
     return base * factor
 
 
-def _solve_cells(table, cells):
-    """Solve the given cells into table.entries in walk order, each as one
-    _cell_folds walk hands out its fold."""
+def _solve_cells(table, cells, entries=None):
+    """Solve the given cells into entries (table.entries by default) in
+    walk order, each as one _cell_folds walk hands out its fold."""
+    if entries is None:
+        entries = table.entries
     for L, R, fold in _cell_folds(cells):
         channel = orbit_channel(build_fixed_deletion_channel(
             L, R, entry_budget=table.entry_budget, fold=fold))
         del fold  # through the solve, channel alone holds the counts
-        _compute_entry(table, L, R, channel)
+        result = solve_capacity(channel, table.tolerance, table.max_iterations)
         del channel  # the walk folds the next cell without this one
+        if not result.converged:
+            raise SolverNotConvergedError(
+                f"f({L},{R}) bracket stuck at width"
+                f" {result.tolerance_achieved} after {result.iterations}"
+                " iterations", result=result)
+        entries[(L, R)] = TableEntry(result.capacity_lower,
+                                     result.capacity_upper, table.tolerance,
+                                     SOURCE_BAA)
 
 
-def _exit_with_parent():
-    """End this worker once its parent is gone: a parent killed outright
-    (SIGKILL, or SIGTERM's default action) cannot stop it itself."""
-    import multiprocessing.connection
-    multiprocessing.connection.wait(
-        [multiprocessing.parent_process().sentinel])
-    os._exit(1)
-
-
-def _solve_in_worker(table, cells, sender):
-    """The forked worker's share: solve cells on its copy of the table and
-    send back the entries it solved, in walk order, with the error it
-    stopped at, or None."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
-    table.entries = {}
-    error = None
+def _solve_share(table, cells):
+    """One share of a build: the entries it solved, in walk order, and the
+    error it stopped at, or None."""
+    entries = {}
     try:
-        _solve_cells(table, cells)
-    except SolverNotConvergedError as stuck:  # raised again in the parent
-        error = stuck
-    sender.send((table.entries, error))
-
-
-def _fork_context():
-    """The fork start method, or None where this process may not fork a
-    worker: no fork on the platform, or a daemonic process (a pool's
-    worker), which may have no children."""
-    import multiprocessing
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _solve_split(context, table, shallow, deep):
-    """Solve the deep cells in one forked worker while this process solves
-    the shallow ones, then merge the worker's entries after its own. The
-    shallow cells all come first in walk order, so an error among them
-    is raised before anything the worker found. The worker is joined on
-    every path, and stopped first when this process fails or is
-    interrupted; if this process is killed outright, the worker ends
-    itself (_exit_with_parent)."""
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_solve_in_worker,
-                             args=(table, deep, sender), daemon=True)
-    # OpenBLAS joins its thread pool in a pthread_atfork handler, so the
-    # process forks with one thread, and Python 3.12+ has no
-    # multi-threaded fork to warn about
-    worker.start()
-    sender.close()  # so a worker that dies unheard reads as EOF
-    received = None
-    try:
-        _solve_cells(table, shallow)
-        try:
-            received = receiver.recv()
-        except EOFError:  # the worker died; its exit code is read below
-            pass
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        receiver.close()
-    if received is None:
-        raise RuntimeError(f"the table worker exited with code"
-                           f" {worker.exitcode} before sending its cells")
-    entries, error = received
-    table.entries.update(entries)
-    if error is not None:
-        raise error
+        _solve_cells(table, cells, entries)
+    except SolverNotConvergedError as stuck:  # raised after the merge
+        return entries, stuck
+    return entries, None
 
 
 def populate_table(table, *, diagonal_l_max=None):
@@ -313,17 +236,11 @@ def populate_table(table, *, diagonal_l_max=None):
     looser tolerance (every cell is checked against the limits first).
     Returns the table.
 
-    With two or more CPUs available, one worker forked at the start
-    solves the cells of the deepest full row (L = table.l_max) and the
-    diagonal past it, while this process solves the shallower rows, each
-    with the serial loop (_solve_cells) over its own share; a process,
-    not a thread, for the reason the module docstring gives. The
-    worker's entries are merged after this process's, in walk order, so
-    the table holds the same bytes as a serial build, and a cell that
-    fails raises the error the serial loop would raise first. The build
-    stays serial on one CPU, without fork, in a daemonic process, or when
-    either share is empty; on one CPU or with an empty share nothing is
-    imported for it either.
+    With two or more CPUs, a forked worker solves the deepest full row
+    (L = table.l_max) and the diagonal past it while this process solves
+    the shallower rows (see the module docstring), unless either share
+    is empty. A cell that fails raises the error the serial loop would
+    raise first, once the entries solved before it are merged.
     """
     if diagonal_l_max is None:
         diagonal_l_max = table.l_max
@@ -341,13 +258,13 @@ def populate_table(table, *, diagonal_l_max=None):
         _check_fixed_cell(*cell, table.entry_budget)
     shallow = [cell for cell in todo if cell[0] < table.l_max]
     deep = [cell for cell in todo if cell[0] >= table.l_max]
-    context = None
-    if _cpu_count() > 1 and shallow and deep:
-        context = _fork_context()
-    if context is None:
-        _solve_cells(table, todo)
-    else:
-        _solve_split(context, table, shallow, deep)
+    shares = [todo]
+    if shallow and deep and cpu_count() > 1:
+        shares = [shallow, deep]
+    for entries, error in run_shares(partial(_solve_share, table), shares):
+        table.entries.update(entries)
+        if error is not None:
+            raise error
     return table
 
 

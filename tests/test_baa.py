@@ -1,7 +1,9 @@
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
-import threading
+import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import delcap.baa
+import delcap.workers
 from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
                     build_fixed_deletion_channel, mutual_information,
                     solve_capacity)
@@ -402,95 +405,87 @@ class TestStackedSolve:
         assert stacked.converged is False
 
     def test_large_stack_splits_on_its_own(self, monkeypatch):
-        # L=12 counts hold 172,596 entries, above the split threshold
+        # L=12 counts hold 172,596 entries, 1.04M over six laws, above
+        # the split threshold
         splits = []
-        solve_split = delcap.baa._solve_split
-        monkeypatch.setattr(delcap.baa, "_solve_split", lambda *args: (
-            splits.append(args[2]) or solve_split(*args)))
+        run_shares = delcap.baa.run_shares
+        monkeypatch.setattr(delcap.baa, "run_shares", lambda work, shares: (
+            splits.append(len(shares)) or run_shares(work, shares)))
         stack = orbit_stack([build_binomial_deletion_channel(12, d)
                              for d in (0.1, 0.3, 0.5, 0.6, 0.8, 0.9)])
         stacked = solve_capacity(stack)
-        available = delcap.baa._cpu_count()
+        available = delcap.workers.cpu_count()
         assert splits == ([min(available, 6)] if available > 1 else [])
         for i, column in enumerate(stacked.columns):
             assert_same_result(column, solve_capacity(
                 delcap.baa._rows(stack, i)))
+        assert multiprocessing.active_children() == []
 
-    def test_error_in_a_worker_stops_every_group(self):
-        # laws 0 and 2 run on the calling thread, 1 and 3 on the worker;
-        # the tiny tolerance keeps every law open for thousands of steps
-        stack = orbit_stack([build_binomial_deletion_channel(8, d)
-                             for d in (0.2, 0.4, 0.6, 0.8)])
-        before = set(threading.enumerate())
-        main_calls = []
-        main_at_5 = threading.Event()
+    def test_error_in_a_worker_stops_every_group(self, monkeypatch):
+        # laws 0 and 3 run in this process, 1 and 4 on the first worker,
+        # which fails, and law 2 on the second, which would never end
+        parent = os.getpid()
+        solve_stack = delcap.baa._solve_stack
 
-        def on_iteration(it, lower, upper):
-            if threading.current_thread() is not threading.main_thread():
-                if it == 3:
-                    assert main_at_5.wait(timeout=60)
+        def failing(stack, columns):
+            if os.getpid() != parent:
+                if len(columns) == 2:
                     raise RuntimeError("worker failed")
-                return
-            main_calls.append(it)
-            if main_calls == [1, 1, 2, 2, 3, 3, 4, 4, 5]:
-                # law 0's fifth call: let the worker raise, wait for its end
-                main_at_5.set()
-                for thread in set(threading.enumerate()) - before:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
+                time.sleep(600)
+            return solve_stack(stack, columns)
 
-        with cpus(2), pytest.raises(RuntimeError, match="worker failed"):
-            solve_capacity(stack, 1e-12, 20000, on_iteration)
-        # group 0 finishes the step it is in (law 2's call), then stops
-        assert main_calls == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
-        assert threading.active_count() == len(before)
+        monkeypatch.setattr(delcap.baa, "_solve_stack", failing)
+        stack = orbit_stack([build_binomial_deletion_channel(8, d)
+                             for d in (0.2, 0.4, 0.6, 0.8, 0.9)])
+        start = time.monotonic()
+        with cpus(3), pytest.raises(RuntimeError, match="worker failed"):
+            solve_capacity(stack)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
 
     def test_interrupt_on_the_calling_thread_stops_every_group(
             self, monkeypatch):
-        stops = []  # the solve's stop event, to wait on
-        monkeypatch.setattr(delcap.baa, "threading", SimpleNamespace(
-            Event=lambda: stops.append(threading.Event()) or stops[-1],
-            Thread=threading.Thread))
-        stack = orbit_stack([build_binomial_deletion_channel(8, d)
+        parent = os.getpid()
+        solve_stack = delcap.baa._solve_stack
+
+        def interrupted(stack, columns):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return solve_stack(stack, columns)
+
+        monkeypatch.setattr(delcap.baa, "_solve_stack", interrupted)
+        stack = orbit_stack([build_binomial_deletion_channel(12, d)
                              for d in (0.2, 0.4, 0.6, 0.8)])
-        threads = threading.active_count()
-        worker_calls = []
-        worker_at_3 = threading.Event()
-
-        def on_iteration(it, lower, upper):
-            if threading.current_thread() is threading.main_thread():
-                if it == 3:
-                    assert worker_at_3.wait(timeout=60)
-                    raise KeyboardInterrupt
-                return
-            worker_calls.append(it)
-            if len(worker_calls) == 5:  # law 1's third call
-                worker_at_3.set()
-                assert stops[0].wait(timeout=60)
-
+        start = time.monotonic()
         with cpus(2), pytest.raises(KeyboardInterrupt):
-            solve_capacity(stack, 1e-12, 20000, on_iteration)
-        # the worker finishes the step it is in (law 3's call), then stops
-        assert worker_calls == [1, 1, 2, 2, 3, 3]
-        assert threading.active_count() == threads
+            # the worker's group alone would take minutes
+            solve_capacity(stack, 1e-12, 20000)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("count, split_min_entries",
-                             [(1, 0), (4, delcap.baa._SPLIT_MIN_ENTRIES)])
-    def test_no_thread_on_one_cpu_or_below_the_threshold(
-            self, count, split_min_entries):
+    @pytest.mark.parametrize("count, split_min_entries, callback, daemon", [
+        (1, 0, False, False),
+        (4, delcap.baa._SPLIT_MIN_ENTRIES, False, False),
+        (4, 0, True, False),
+        (4, 0, False, True)],
+        ids=["one-cpu", "below-threshold", "callback", "daemonic"])
+    def test_serial_where_it_cannot_or_need_not_split(
+            self, monkeypatch, count, split_min_entries, callback, daemon):
         stack = orbit_stack([build_binomial_deletion_channel(8, d)
                              for d in (0.2, 0.4, 0.6, 0.8)])
-        assert stack._matrix_t.nnz < delcap.baa._SPLIT_MIN_ENTRIES
-        threads = threading.active_count()
-        seen = set()
-
-        def on_iteration(it, lower, upper):
-            seen.add((threading.current_thread() is threading.main_thread(),
-                      threading.active_count()))
-
+        assert stack._matrix_t.nnz * 4 < delcap.baa._SPLIT_MIN_ENTRIES
+        serial = solve_capacity(stack)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        if daemon:
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: SimpleNamespace(daemon=True))
+        calls = []
+        on_iteration = (lambda *bracket: calls.append(bracket)) if callback \
+            else None
         with cpus(count, split_min_entries):
-            solve_capacity(stack, on_iteration=on_iteration)
-        assert seen == {(True, threads)}
+            assert_same_stack(solve_capacity(
+                stack, on_iteration=on_iteration), serial)
+        assert len(calls) == (serial.iterations if callback else 0)
 
     def test_uniform_information_in_one_pass(self):
         ds = [0.1, 1e-200, 0.6, 0.1]

@@ -1,11 +1,6 @@
-import copy
 import math
 import multiprocessing
 import os
-import select
-import subprocess
-import sys
-import time
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -24,10 +19,9 @@ from delcap import (CoefficientTable, ExtrapolationRequiredError,
                     closed_form_f, extrapolate_alpha_lemma2,
                     extrapolate_tilde_alpha_lemma4, f_tilde_value, f_value,
                     load_table, populate_table, save_table, serialize_table)
-from delcap.tables import (SOURCE_BAA, SOURCE_CLOSED, TABLE_HEADER,
-                           _compute_entry)
+from delcap.tables import SOURCE_BAA, SOURCE_CLOSED, TABLE_HEADER
 
-from conftest import cpus, package_env
+from conftest import cpus
 from reference_values import (F_REFERENCE, TABLE_VALUE_TOLERANCE,
                               bracket_matches_reference)
 
@@ -76,6 +70,16 @@ class TestFValue:
             hi = f_value(L, R, table, "upper")
             assert bracket_matches_reference(lo, hi, reference,
                                              slack=TABLE_VALUE_TOLERANCE * 2)
+
+    def test_miss_over_budget_refused_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(delcap.channel, "count_blocks",
+                            lambda cells: pytest.fail("walked"))
+        # (6, 3) may need 2^6 * 8 = 512 entries
+        table = CoefficientTable(l_max=6, entry_budget=511)
+        with pytest.raises(ResourceLimitError,
+                           match=r"^fixed channel \(6,3\) may need 512"):
+            f_value(6, 3, table, "lower")
+        assert (6, 3) not in table.entries
 
     def test_miss_computes_and_caches(self):
         table = CoefficientTable(l_max=4)
@@ -215,9 +219,11 @@ class TestPopulate:
                   if entry.source == SOURCE_BAA}
         assert set(solved) == cells - kept | {
             (L, L - 1) for L in range(l_max + 1, l_max + extra + 1)}
-        alone = CoefficientTable(l_max=l_max)
+        # each cell solved on a miss, from a walk of its own
+        alone = CoefficientTable(l_max=l_max + extra)
         for (L, R), entry in solved.items():
-            assert _compute_entry(alone, L, R) == entry
+            f_value(L, R, alone, "lower")
+            assert alone.entries[(L, R)] == entry
 
     def test_walk_stops_one_level_short_of_the_deepest_cell(
             self, monkeypatch):
@@ -325,56 +331,23 @@ def build(count, l_max=6, diagonal_l_max=8):
 
 
 def patch_solve(monkeypatch, cell, change):
-    """Run change(table) instead of _compute_entry at one cell, in
+    """Solve one cell with change(max_iterations) as its iteration cap, in
     whichever process solves it."""
-    compute = delcap.tables._compute_entry
+    build = delcap.tables.build_fixed_deletion_channel
+    solve = delcap.tables.solve_capacity
+    building = []  # the cell whose channel was built last
 
-    def patched(table, L, R, channel=None):
-        if (L, R) == cell:
-            table = change(table)
-        return compute(table, L, R, channel)
+    def built(L, R, **kwargs):
+        building[:] = [(L, R)]
+        return build(L, R, **kwargs)
 
-    monkeypatch.setattr(delcap.tables, "_compute_entry", patched)
+    def patched(channel, tolerance, max_iterations):
+        if building == [cell]:
+            max_iterations = change(max_iterations)
+        return solve(channel, tolerance, max_iterations)
 
-
-def one_iteration(table):
-    table = copy.copy(table)
-    table.max_iterations = 1
-    return table
-
-
-# a split build whose cells never finish, in both processes; it prints
-# the worker's pid once the worker has started
-STALLED_BUILD = """
-import multiprocessing.process
-import os
-import time
-
-import delcap.tables
-from delcap import CoefficientTable, populate_table
-
-os.sched_getaffinity = lambda pid: {0, 1}
-start = multiprocessing.process.BaseProcess.start
-
-
-def announced(process):
-    start(process)
-    print(process.pid, flush=True)
-
-
-multiprocessing.process.BaseProcess.start = announced
-delcap.tables._compute_entry = lambda *args: time.sleep(600)
-populate_table(CoefficientTable(l_max=6), diagonal_l_max=8)
-"""
-
-
-def running(pid):
-    """Whether a process runs: it exists and is no zombie."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
+    monkeypatch.setattr(delcap.tables, "build_fixed_deletion_channel", built)
+    monkeypatch.setattr(delcap.tables, "solve_capacity", patched)
 
 
 class TestSplitBuild:
@@ -394,7 +367,7 @@ class TestSplitBuild:
     @pytest.mark.parametrize("cell", [(5, 3), (6, 4), (8, 7)],
                              ids=["shallow", "deepest-row", "diagonal"])
     def test_stuck_cell_raises_as_serial(self, monkeypatch, workers, cell):
-        patch_solve(monkeypatch, cell, one_iteration)
+        patch_solve(monkeypatch, cell, lambda cap: 1)
         errors, tables = [], []
         for count in (1, 2):
             table = CoefficientTable(l_max=6)
@@ -418,40 +391,16 @@ class TestSplitBuild:
     def test_interrupt_stops_the_worker(self, monkeypatch, workers):
         parent = os.getpid()
 
-        def interrupt(table):
+        def interrupt(cap):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return table
+            return cap
 
         patch_solve(monkeypatch, (5, 4), interrupt)
         with cpus(2), pytest.raises(KeyboardInterrupt):
             populate_table(CoefficientTable(l_max=6), diagonal_l_max=8)
         [worker] = workers
         assert_reaped(worker)
-
-    def test_dead_worker_is_an_error(self, monkeypatch, workers):
-        patch_solve(monkeypatch, (6, 2), lambda table: os._exit(7))
-        with pytest.raises(RuntimeError, match="exited with code 7"):
-            build(2)
-        [worker] = workers
-        assert_reaped(worker)
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
-                        reason="reads process states from /proc")
-    def test_worker_ends_with_a_killed_parent(self):
-        child = subprocess.Popen(
-            [sys.executable, "-c", STALLED_BUILD], env=package_env(),
-            stdout=subprocess.PIPE, text=True)
-        try:
-            assert select.select([child.stdout], [], [], 60)[0], "no worker"
-            worker = int(child.stdout.readline())
-        finally:
-            child.kill()
-            child.wait(timeout=60)
-        deadline = time.monotonic() + 30
-        while running(worker) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not running(worker)
 
     def test_serial_where_it_cannot_split(self, monkeypatch, workers):
         def no_fork():
