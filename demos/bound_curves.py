@@ -49,10 +49,10 @@ def main():
             params = ";".join(f"{k}={spec.parameters[k]}"
                               for k in sorted(spec.parameters))
             print(f"{spec.kind},{params},{d!r},{curve[i]!r},upper,"
-                  f"{spec.solver_tolerance!r}")
+                  f"{table.tolerance!r}")
         value, winner = float(best[i]), winners[i]
         print(f"best,winner={winner.kind},{d!r},{value!r},upper,"
-              f"{winner.solver_tolerance!r}")
+              f"{table.tolerance!r}")
         print(f"# d={d:.2f}: best={value:.4f} from {winner.kind}",
               file=sys.stderr)
 

@@ -274,7 +274,7 @@ def solve_capacity(channel, tolerance=DEFAULT_TOLERANCE,
     solved with on_iteration is not split, since a worker's calls could
     not reach the callback.
     """
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:  # NaN included
         raise ParameterError("tolerance must be positive")
     if max_iterations < 1:
         raise ParameterError("max_iterations must be at least 1")

@@ -47,10 +47,12 @@ class BoundSpec:
     c1_star takes D and l_max (and optionally tail_cut, which switches
     the series remainder from the closed geometric form to truncation);
     c2_star takes R and l_max; c3, c4 and the two lower kinds take L;
-    erasure takes nothing.
+    erasure takes nothing. A spec holds no solver settings: c4 and the
+    lower kinds solve with the tolerance and budgets of the table they
+    are evaluated on (evaluate_bound).
     """
 
-    def __init__(self, kind, parameters=None, solver_tolerance=DEFAULT_TOLERANCE):
+    def __init__(self, kind, parameters=None):
         parameters = dict(parameters or {})
         if kind not in BOUND_KINDS:
             raise ParameterError(f"unknown bound kind {kind!r}; expected one"
@@ -74,26 +76,20 @@ class BoundSpec:
             raise ParameterError("c2_star needs R <= l_max")
         if kind in ("c3", "c4", "lower_opt", "lower_iud") and parameters["L"] < 1:
             raise ParameterError(f"{kind} needs L >= 1")
-        if solver_tolerance <= 0.0:
-            raise ParameterError("solver_tolerance must be positive")
         self.kind = kind
         self.parameters = parameters
-        self.solver_tolerance = solver_tolerance
 
     @property
     def side(self):
         return "lower" if self.kind in LOWER_KINDS else "upper"
 
     def __repr__(self):
-        return (f"BoundSpec({self.kind!r}, {self.parameters!r}, "
-                f"solver_tolerance={self.solver_tolerance!r})")
+        return f"BoundSpec({self.kind!r}, {self.parameters!r})"
 
     def __eq__(self, other):
         if not isinstance(other, BoundSpec):
             return NotImplemented
-        return (self.kind == other.kind
-                and self.parameters == other.parameters
-                and self.solver_tolerance == other.solver_tolerance)
+        return (self.kind, self.parameters) == (other.kind, other.parameters)
 
 
 class BoundCurve:
@@ -387,8 +383,9 @@ def limit_large_d_c2(R, l_max, table):
 def evaluate_bound(spec, d, table):
     """Dispatch one spec at one d or over an array of d. Every kind takes
     the whole array in one pass: the table-backed kinds read each cell
-    once, and c4 and the lower bounds solve the grid as one stack, with
-    the iteration and size budgets of the table's solver settings."""
+    once, and c4 and the lower bounds solve the grid as one stack, at the
+    table's solver settings: its tolerance and its iteration and size
+    budgets."""
     grid, scalar = _grid(d)
     p = spec.parameters
     limits = dict(max_iterations=table.max_iterations,
@@ -404,11 +401,10 @@ def evaluate_bound(spec, d, table):
     elif spec.kind == "c3":
         values = bound_c3(p["L"], grid, table)
     elif spec.kind == "c4":
-        values = bound_c4(p["L"], grid, spec.solver_tolerance, **limits)
+        values = bound_c4(p["L"], grid, table.tolerance, **limits)
     else:
         policy = "optimized" if spec.kind == "lower_opt" else "iud"
-        values = lower_bound(p["L"], grid, policy, spec.solver_tolerance,
-                             **limits)
+        values = lower_bound(p["L"], grid, policy, table.tolerance, **limits)
     return _shaped(values, scalar)
 
 
@@ -442,8 +438,8 @@ def compose_best_upper(d, specs, table):
 def d_grid(start, stop, step):
     """Inclusive arithmetic grid, rounded to 12 decimals so repeated
     runs hit bit-identical d values."""
-    if step <= 0.0:
-        raise ParameterError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:  # NaN included
+        raise ParameterError(f"step must be positive and finite, got {step}")
     if not 0.0 <= start <= stop <= 1.0:
         raise ParameterError(
             f"need 0 <= start <= stop <= 1, got {start}:{stop}:{step}")
@@ -451,11 +447,12 @@ def d_grid(start, stop, step):
     return [min(round(start + i * step, 12), 1.0) for i in range(count + 1)]
 
 
-def sweep_provenance(table, solver_tolerance):
+def sweep_provenance(table):
     """The note a sweep carries: the table depth and tolerance its values
-    read, and the tolerance of its capacity solves."""
+    read, and the tolerance of its capacity solves, which is the table's
+    too."""
     return (f"table l_max={table.l_max} tolerance={table.tolerance!r};"
-            f" solver_tolerance={solver_tolerance!r}")
+            f" solver_tolerance={table.tolerance!r}")
 
 
 def sweep_bound(spec, grid, table):
@@ -468,8 +465,7 @@ def sweep_bound(spec, grid, table):
     served = iter(evaluate_bound(spec, inner, table).tolist())
     points = [(d, 1.0 - d if d == 0.0 or d == 1.0 else next(served),
                spec.side) for d in grid]
-    return BoundCurve(spec, points,
-                      sweep_provenance(table, spec.solver_tolerance))
+    return BoundCurve(spec, points, sweep_provenance(table))
 
 
 def _resolvable(table, L, R):
@@ -504,13 +500,12 @@ def resolve_l_max(table, kind, *, D=None, R=None):
     return best
 
 
-def conjecture1_report(d, table, *, max_c4_level=6,
-                       solver_tolerance=DEFAULT_TOLERANCE,
-                       combined_tolerance=1e-9):
+def conjecture1_report(d, table, *, max_c4_level=6, combined_tolerance=1e-9):
     """Observed (not certified): each upper-bound family improves as its
     resolution parameter grows: c3 and c4 in L, c1_star in D, c2_star
-    in R. Reported for inspection only; solver brackets make small
-    negative slacks possible without meaning anything."""
+    in R. The c4 values are solved at the table's solver settings.
+    Reported for inspection only; solver brackets make small negative
+    slacks possible without meaning anything."""
     _check_probability(d, open_interval=True)
 
     def trend(family, key, first, values):
@@ -525,7 +520,7 @@ def conjecture1_report(d, table, *, max_c4_level=6,
     return [
         trend("c3", "L", 1, [bound_c3(L, d, table)
                              for L in range(1, table.l_max + 1)]),
-        trend("c4", "L", 1, [bound_c4(L, d, solver_tolerance,
+        trend("c4", "L", 1, [bound_c4(L, d, table.tolerance,
                                       max_iterations=table.max_iterations,
                                       entry_budget=table.entry_budget)
                              for L in range(1, max_c4_level + 1)]),

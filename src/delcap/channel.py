@@ -19,7 +19,7 @@ path never forms it (see below).
 
 Deleting bits commutes with complementing them and with reversing their
 order, so both families map the orbit of an input under that 4-element
-group onto the orbits of its outputs. orbit_channel folds a channel onto
+group onto the orbits of its outputs. A channel's folded() folds it onto
 those orbits: one row per input orbit, taken from its smallest member
 x_o, with M[o, O] = sum of P(y|x_o) over the output orbit O. A law that
 is constant on input orbits induces an output law constant on output
@@ -269,8 +269,8 @@ class FixedDeletionChannel(_Rows):
         lambda self: block_entries(self.input_length, self.output_length))
 
     def folded(self):
-        """The cell on its orbits (see orbit_channel): its fold, or one
-        from a walk to the cell alone, uncached (the table solves each
+        """The cell on its orbits (see the module docstring): its fold, or
+        one from a walk to the cell alone, uncached (the table solves each
         cell once), weighted 1 / C(L, R) at r = R."""
         L, R, fold = self.input_length, self.output_length, self.fold
         if fold is None:
@@ -328,8 +328,8 @@ class BinomialDeletionChannel(_Rows):
     entry_count = property(lambda self: _skeleton_entries(self.input_length))
 
     def folded(self):
-        """The channel on its orbits (see orbit_channel): the binomial
-        store of L under its length weights."""
+        """The channel on its orbits (see the module docstring): the
+        binomial store of L under its length weights."""
         L = self.input_length
         return _weigh(L, _binomial_orbit_store(L), self.length_weights)
 
@@ -567,14 +567,6 @@ def _weigh(L, folded, w):
     return OrbitChannel(counts_t, w[..., column_lengths],
                         row_term.reshape(w.shape[:-1] + (-1,)),
                         representatives, input_sizes, output_sizes)
-
-
-def orbit_channel(channel):
-    """Fold a fixed-deletion or binomial channel onto its orbits under
-    complement and reversal (see the module docstring): the OrbitChannel
-    of its counts times one weight per output length r, 1 / C(L, R) at
-    r = R for a fixed cell and d^(L-r) (1-d)^r for the binomial family."""
-    return channel.folded()
 
 
 def orbit_stack(channels):

@@ -239,15 +239,15 @@ def _plan_specs(config, table, depth):
     them. The one exception is an asked-for c2_star R, resolved on the
     table raised to R+1 (_c2_star_l_max).
     """
-    kind, tol = config.kind, config.solver_tolerance
+    kind = config.kind
     if kind == "erasure":
-        return [BoundSpec("erasure", {}, tol)]
+        return [BoundSpec("erasure", {})]
     if kind in ("c3", "c4", "lower"):
         if config.L is None:
             raise ParameterError(f"--kind {kind} needs --L")
         if kind == "lower":
             kind = "lower_opt" if config.policy == "optimized" else "lower_iud"
-        spec = BoundSpec(kind, {"L": config.L}, tol)
+        spec = BoundSpec(kind, {"L": config.L})
         if kind == "c3":
             _reserve(config, table, config.L)
         else:
@@ -258,7 +258,7 @@ def _plan_specs(config, table, depth):
 
     def family(name, key, anchor, **extra):
         l_max = _family_l_max(config, table, name, **{key: anchor})
-        return BoundSpec(name, {key: anchor, "l_max": l_max, **extra}, tol)
+        return BoundSpec(name, {key: anchor, "l_max": l_max, **extra})
 
     if kind == "c1_star":
         tail = {} if config.tail_cut is None else {"tail_cut": config.tail_cut}
@@ -266,17 +266,15 @@ def _plan_specs(config, table, depth):
         specs = [family("c1_star", "D", D, **tail) for D in counts]
     elif kind == "c2_star":
         specs = [BoundSpec("c2_star", {
-            "R": config.R, "l_max": _c2_star_l_max(config, table, config.R)},
-            tol)]
+            "R": config.R, "l_max": _c2_star_l_max(config, table, config.R)})]
     else:
         specs = ([family("c1_star", "D", D) for D in range(depth + 1)]
                  + [family("c2_star", "R", R) for R in range(depth + 1)]
-                 + [BoundSpec("c3", {"L": L}, tol)
-                    for L in range(1, depth + 1)])
+                 + [BoundSpec("c3", {"L": L}) for L in range(1, depth + 1)])
     _reserve(config, table, depth)
     if kind == "best" and config.L is not None:
         _gate_long(config, config.L, "L")
-        specs.append(BoundSpec("c4", {"L": config.L}, tol))
+        specs.append(BoundSpec("c4", {"L": config.L}))
     return specs
 
 
@@ -290,7 +288,7 @@ def _run_bound(config):
     (spec,) = _plan_specs(config, table, depth)
     value = evaluate_bound(spec, config.d, table)
     rows = [(spec.kind, spec.parameters, config.d, value, spec.side,
-             spec.solver_tolerance)]
+             table.tolerance)]
     _write_output(config, _csv(rows))
     return 0
 
@@ -321,7 +319,7 @@ def _pointwise_rows(config, specs, grid, table):
                 named[id(winner)] = (specs[0] if winner.kind == "erasure"
                                      else winner).parameters
         rows.append((config.kind, named[id(winner)], d, value, "upper",
-                     config.solver_tolerance))
+                     table.tolerance))
     return rows
 
 
@@ -331,12 +329,11 @@ def _run_sweep(config):
     specs = _plan_specs(config, table, depth)
     if len(specs) > 1:
         rows = _pointwise_rows(config, specs, grid, table)
-        provenance = sweep_provenance(table, config.solver_tolerance)
+        provenance = sweep_provenance(table)
     else:
         (spec,) = specs
         curve = sweep_bound(spec, grid, table)
-        rows = [(spec.kind, spec.parameters, d, value, side,
-                 spec.solver_tolerance)
+        rows = [(spec.kind, spec.parameters, d, value, side, table.tolerance)
                 for (d, value, side) in curve.points]
         provenance = curve.provenance
     _write_output(config, _csv(rows))
@@ -348,7 +345,7 @@ def _run_limits(config):
     if config.L is None and config.R is None:
         raise ParameterError("limits needs --L and/or --R")
     table, depth = _open_table(config)
-    tol = config.solver_tolerance
+    tol = table.tolerance
     rows = []
     if config.L is not None:
         _gate_long(config, config.L, "L")

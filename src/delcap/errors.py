@@ -17,7 +17,8 @@ class SolverNotConvergedError(DelcapError):
     """A capacity solve stopped before reaching the requested bracket width.
 
     Carries the partial result so callers can inspect the bracket that was
-    reached.
+    reached. A stuck table cell's error also carries, as entries, the
+    table entries its share solved before it (tables._solve_cells).
     """
 
     def __init__(self, message, result=None):

@@ -13,8 +13,11 @@ populate_table solves the cells it lacks on two processes where it can
 (workers.run_shares): a forked worker takes the deepest full row
 (L = l_max) and the diagonal past it, while the calling process takes
 the shallower rows. Each runs the same serial loop over its share, from
-one count walk, and the shares' entries are merged in share order, which
-is walk order, so the table has the same bytes as a serial build.
+one count walk, writing each entry into its own copy of the table as it
+solves it; the worker's entries are merged after the caller's, in walk
+order, so the table has the same bytes as a serial build. A stuck cell
+in this process's share raises at once and stops the worker; a stuck
+cell in the worker's share raises once its earlier entries are merged.
 """
 
 import math
@@ -25,7 +28,7 @@ from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, solve_capacity
 from .channel import (DEFAULT_ENTRY_BUDGET, _cell_folds, _check_fixed_cell,
-                      build_fixed_deletion_channel, orbit_channel)
+                      build_fixed_deletion_channel)
 from .errors import (ExtrapolationRequiredError, ParameterError,
                      SolverNotConvergedError, TableChecksumError,
                      TableRowError, TableVersionError)
@@ -67,7 +70,7 @@ class CoefficientTable:
                  entry_budget=DEFAULT_ENTRY_BUDGET):
         if l_max < 0:
             raise ParameterError("l_max must be non-negative")
-        if tolerance <= 0.0:
+        if not tolerance > 0.0:  # NaN included
             raise ParameterError("tolerance must be positive")
         self.entries = {}
         self.l_max = l_max
@@ -198,36 +201,29 @@ def extrapolate_tilde_alpha_lemma4(L, D, table, start=None):
     return base * factor
 
 
-def _solve_cells(table, cells, entries=None):
-    """Solve the given cells into entries (table.entries by default) in
-    walk order, each as one _cell_folds walk hands out its fold."""
-    if entries is None:
-        entries = table.entries
+def _solve_cells(table, cells):
+    """Solve the given cells into table.entries in walk order, each as one
+    _cell_folds walk hands out its fold, and return the entries solved.
+    A stuck cell's SolverNotConvergedError carries, as .entries, those
+    solved before it."""
+    solved = {}
     for L, R, fold in _cell_folds(cells):
-        channel = orbit_channel(build_fixed_deletion_channel(
-            L, R, entry_budget=table.entry_budget, fold=fold))
+        channel = build_fixed_deletion_channel(
+            L, R, entry_budget=table.entry_budget, fold=fold).folded()
         del fold  # through the solve, channel alone holds the counts
         result = solve_capacity(channel, table.tolerance, table.max_iterations)
         del channel  # the walk folds the next cell without this one
         if not result.converged:
-            raise SolverNotConvergedError(
+            stuck = SolverNotConvergedError(
                 f"f({L},{R}) bracket stuck at width"
                 f" {result.tolerance_achieved} after {result.iterations}"
                 " iterations", result=result)
-        entries[(L, R)] = TableEntry(result.capacity_lower,
-                                     result.capacity_upper, table.tolerance,
-                                     SOURCE_BAA)
-
-
-def _solve_share(table, cells):
-    """One share of a build: the entries it solved, in walk order, and the
-    error it stopped at, or None."""
-    entries = {}
-    try:
-        _solve_cells(table, cells, entries)
-    except SolverNotConvergedError as stuck:  # raised after the merge
-        return entries, stuck
-    return entries, None
+            stuck.entries = solved
+            raise stuck
+        solved[(L, R)] = table.entries[(L, R)] = TableEntry(
+            result.capacity_lower, result.capacity_upper, table.tolerance,
+            SOURCE_BAA)
+    return solved
 
 
 def populate_table(table, *, diagonal_l_max=None):
@@ -239,8 +235,8 @@ def populate_table(table, *, diagonal_l_max=None):
     With two or more CPUs, a forked worker solves the deepest full row
     (L = table.l_max) and the diagonal past it while this process solves
     the shallower rows (see the module docstring), unless either share
-    is empty. A cell that fails raises the error the serial loop would
-    raise first, once the entries solved before it are merged.
+    is empty. A stuck cell raises the error the serial loop would raise
+    first, with the table holding the entries a serial build holds then.
     """
     if diagonal_l_max is None:
         diagonal_l_max = table.l_max
@@ -261,10 +257,12 @@ def populate_table(table, *, diagonal_l_max=None):
     shares = [todo]
     if shallow and deep and cpu_count() > 1:
         shares = [shallow, deep]
-    for entries, error in run_shares(partial(_solve_share, table), shares):
-        table.entries.update(entries)
-        if error is not None:
-            raise error
+    try:
+        for entries in run_shares(partial(_solve_cells, table), shares):
+            table.entries.update(entries)
+    except SolverNotConvergedError as stuck:  # a worker's, or this share's
+        table.entries.update(stuck.entries)
+        raise
     return table
 
 
@@ -336,8 +334,9 @@ def load_table(path, **table_kwargs):
         if not (math.isfinite(f_lo) and math.isfinite(f_hi)) or f_lo > f_hi:
             raise TableRowError(
                 f"invalid bracket [{parts[2]}, {parts[3]}]", line=lineno)
-        if tol < 0.0:
-            raise TableRowError(f"negative tolerance {parts[4]}", line=lineno)
+        if not tol >= 0.0:  # NaN included
+            raise TableRowError(f"{parts[4]} is not a non-negative tolerance",
+                                line=lineno)
         closed = closed_form_f(L, R)
         if closed is not None and (f_lo != closed or f_hi != closed):
             raise TableRowError(

@@ -55,8 +55,6 @@ class TestBoundSpec:
             BoundSpec("c1_star", {"D": 6, "l_max": 5})
         with pytest.raises(ParameterError):
             BoundSpec("c2_star", {"R": 6, "l_max": 5})
-        with pytest.raises(ParameterError):
-            BoundSpec("c3", {"L": 3}, solver_tolerance=0.0)
 
 
 class TestDegenerateExactness:
@@ -348,6 +346,18 @@ class TestDispatch:
         for spec, expected in cases:
             assert evaluate_bound(spec, d, default_table) == expected
 
+    def test_solves_at_the_tables_settings(self):
+        table = CoefficientTable(l_max=4, tolerance=1e-3, max_iterations=40)
+        d = [0.1, 0.5]
+        limits = dict(max_iterations=40, entry_budget=table.entry_budget)
+        for spec, expected in [
+                (BoundSpec("c4", {"L": 5}), bound_c4(5, d, 1e-3, **limits)),
+                (BoundSpec("lower_opt", {"L": 5}),
+                 lower_bound(5, d, "optimized", 1e-3, **limits))]:
+            assert evaluate_bound(spec, d, table).tolist() == expected.tolist()
+            assert sweep_bound(spec, d, table).provenance == (
+                "table l_max=4 tolerance=0.001; solver_tolerance=0.001")
+
     def test_compose_prefers_erasure_on_ties(self, default_table):
         value, winner = compose_best_upper(
             0.3, [BoundSpec("c3", {"L": 1})], default_table)
@@ -532,6 +542,9 @@ class TestGridAndSweep:
             d_grid(0.9, 0.1, 0.1)
         with pytest.raises(ParameterError):
             d_grid(0.0, 1.5, 0.1)
+        for step in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                d_grid(0.1, 0.9, step)
 
     def test_sweep_serves_endpoints_closed_form(self, default_table):
         curve = sweep_bound(BoundSpec("c4", {"L": 3}),

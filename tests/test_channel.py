@@ -20,7 +20,7 @@ from delcap.baa import _divergences
 from delcap.channel import (_binomial_orbit_store, _binomial_structure,
                             _cell_folds, _fold_length, _label_orbits,
                             _row_sums, _stack_folds, _widened, block_entries,
-                            count_blocks, orbit_channel)
+                            count_blocks)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -223,10 +223,10 @@ class TestCountWalk:
         for name in ("indptr", "indices", "exact_numerators", "probs"):
             assert name not in vars(channel)
         [(_, _, block)] = count_blocks([(6, 4)])
-        # orbit_channel folds the handed fold, and walks no counts of its own
+        # folded() folds the handed fold, and walks no counts of its own
         with monkeypatch.context() as patch:
             patch.setattr(delcap.channel, "_cell_folds", None)
-            assert_same_csr(orbit_channel(channel)._matrix_t, eager_fold(
+            assert_same_csr(channel.folded()._matrix_t, eager_fold(
                 6, block.indptr, block.indices, block.data,
                 np.full(16, 4, dtype=np.int8), np.arange(16))[0])
         assert "indptr" not in vars(channel)
@@ -385,7 +385,7 @@ class TestOrbitChannel:
 
     def test_orbit_sizes_and_rows(self):
         for channel in deletion_channels(8):
-            reduced = orbit_channel(channel)
+            reduced = channel.folded()
             L = channel.input_length
             assert reduced.input_sizes.sum() == 1 << L
             assert reduced.output_sizes.sum() == channel.output_count
@@ -400,7 +400,7 @@ class TestOrbitChannel:
     def test_divergences_match_full_channel(self):
         rng = np.random.default_rng(7)
         for channel in deletion_channels(8):
-            reduced = orbit_channel(channel)
+            reduced = channel.folded()
             index, _, _ = _label_orbits(channel.input_length)
             weight = rng.uniform(0.1, 1.0, reduced.input_count)
             law = weight[index] / weight[index].sum()
@@ -423,7 +423,7 @@ class TestOrbitChannel:
             channels += [build_fixed_deletion_channel(L, R)
                          for R in range(L + 1)]
         for channel in channels:
-            reduced = orbit_channel(channel)
+            reduced = channel.folded()
             weight = rng.uniform(0.01, 1.0, reduced.input_count)
             law = weight[index] / weight[index].sum()
             reduced_law = reduced.input_sizes * weight / weight[index].sum()
@@ -454,8 +454,8 @@ class TestOrbitChannel:
                 np.full(1 << R, R, dtype=np.int8), np.arange(1 << R)))
 
     def test_binomial_counts_are_shared_across_d(self):
-        a = orbit_channel(build_binomial_deletion_channel(6, 0.2))
-        b = orbit_channel(build_binomial_deletion_channel(6, 0.7))
+        a = build_binomial_deletion_channel(6, 0.2).folded()
+        b = build_binomial_deletion_channel(6, 0.7).folded()
         assert a._matrix_t is b._matrix_t
         assert np.shares_memory(a._matrix.data, b._matrix.data)
         assert not np.array_equal(a._column_weights, b._column_weights)
@@ -577,7 +577,7 @@ class TestOneMatrix:
 
     def test_c_is_a_view_of_the_one_matrix(self):
         [(_, _, fold)] = _cell_folds([(7, 5)])
-        cell = orbit_channel(build_fixed_deletion_channel(7, 5, fold=fold))
+        cell = build_fixed_deletion_channel(7, 5, fold=fold).folded()
         stack = delcap.channel.orbit_stack(
             [build_binomial_deletion_channel(7, d) for d in (0.2, 0.6)])
         for channel in (cell, stack):

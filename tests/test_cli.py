@@ -9,9 +9,9 @@ import pytest
 
 import delcap
 from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
-                    TableEntry, bound_c2_star, bound_c3, compose_best_upper,
-                    d_grid, dump_channel, load_table, populate_table,
-                    resolve_l_max, save_table)
+                    TableEntry, bound_c2_star, bound_c3, bound_c4,
+                    compose_best_upper, d_grid, dump_channel, load_table,
+                    lower_bound, populate_table, resolve_l_max, save_table)
 from delcap.channel import _binomial_structure
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, build_parser, main
 
@@ -137,6 +137,20 @@ class TestBoundCommand:
         (row,) = rows_of(out)
         assert row[0] == "lower_iud"
         assert row[4] == "lower"
+
+    @pytest.mark.parametrize("kind,solve,d", [
+        ("c4", bound_c4, 0.5), ("lower", lower_bound, 0.5),
+        ("lower", lower_bound, 0.1)])
+    def test_tolerance_reaches_the_solve(self, capsys, kind, solve, d):
+        # --tol reaches c4 and the lower bounds through the table alone
+        code, out, _ = run_cli(capsys, "bound", "--kind", kind, "--L", "6",
+                               "--d", str(d), "--tol", "1e-3")
+        assert code == 0
+        (row,) = rows_of(out)
+        assert row[3] == repr(solve(6, d, solver_tolerance=1e-3))
+        assert row[5] == "0.001"
+        if float(row[3]) > 0.0:  # the lower bound at d = 0.5 clamps to 0
+            assert row[3] != repr(solve(6, d))
 
     @pytest.mark.parametrize("kind", ["c4", "lower"])
     def test_underflowed_length_weights_still_solve(self, capsys, kind):
@@ -490,6 +504,20 @@ class TestExitCodes:
                                "--d", "0.5")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("args,error", [
+        (("bound", "--d", "0.5", "--tol", "nan"),
+         "tolerance must be positive"),
+        (("sweep", "--d-grid", "0.1:0.9:nan"),
+         "step must be positive and finite, got nan"),
+        (("sweep", "--d-grid", "0.1:0.9:inf"),
+         "step must be positive and finite, got inf")],
+        ids=["tol-nan", "step-nan", "step-inf"])
+    def test_nan_and_infinite_inputs_are_input_errors(self, capsys, args,
+                                                      error):
+        code, out, err = run_cli(capsys, *args, "--kind", "c3", "--L", "5")
+        assert code == 1 and out == ""
+        assert err == f"error: {error}\n"
 
     def test_entry_budget_refusal(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--kind", "c4", "--L", "10",

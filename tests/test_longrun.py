@@ -27,7 +27,6 @@ from delcap import (CoefficientTable, alpha_tilde, bound_c4,
                     build_fixed_deletion_channel, f_value, limit_large_d_c2,
                     limit_small_d_c3, lower_bound, populate_table,
                     solve_capacity)
-from delcap.channel import orbit_channel
 
 from reference_values import (ALPHA_TILDE_DIAGONAL, C4_L17_D050,
                               C4_L18_D050, LARGE_D_RATIO_R8_L17, LOWER_L17,
@@ -50,7 +49,7 @@ def test_single_deletion_gap_row_deep(deep_table):
         assert lo <= reference + 0.01
         assert hi >= reference - 0.01
         # a tight bracket lies inside the rounded-down window
-        channel = orbit_channel(build_fixed_deletion_channel(L, L - 1))
+        channel = build_fixed_deletion_channel(L, L - 1).folded()
         result = solve_capacity(channel, 1e-4)
         assert result.converged
         lo, hi = (L - 1) - result.capacity_upper, (L - 1) - result.capacity_lower

@@ -7,7 +7,6 @@ with them.
 """
 
 from delcap import build_fixed_deletion_channel, solve_capacity
-from delcap.channel import orbit_channel
 
 from reference_values import ALPHA_TILDE_DIAGONAL, F_REFERENCE
 
@@ -15,7 +14,7 @@ TIGHT = 1e-4
 
 
 def tight_f_bracket(L, R):
-    channel = orbit_channel(build_fixed_deletion_channel(L, R))
+    channel = build_fixed_deletion_channel(L, R).folded()
     result = solve_capacity(channel, TIGHT)
     assert result.converged
     return result.capacity_lower, result.capacity_upper

@@ -1,6 +1,8 @@
 import math
 import multiprocessing
 import os
+import signal
+import time
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -114,6 +116,8 @@ class TestFValue:
             CoefficientTable(l_max=-1)
         with pytest.raises(ParameterError):
             CoefficientTable(tolerance=0.0)
+        with pytest.raises(ParameterError):
+            CoefficientTable(tolerance=float("nan"))
 
 
 class TestAlpha:
@@ -388,6 +392,33 @@ class TestSplitBuild:
         [worker] = workers
         assert_reaped(worker)
 
+    def test_stuck_cell_here_stops_the_worker_at_once(self, monkeypatch,
+                                                      workers):
+        patch_solve(monkeypatch, (5, 3), lambda cap: 1)
+        parent, solve, delay = os.getpid(), delcap.tables.solve_capacity, 20.0
+        slept = []  # each process's own copy
+
+        def slowed(*args):
+            if os.getpid() != parent and not slept:
+                slept.append(True)
+                time.sleep(delay)  # the worker's deep share takes this long
+            return solve(*args)
+
+        monkeypatch.setattr(delcap.tables, "solve_capacity", slowed)
+        serial = CoefficientTable(l_max=6)
+        with cpus(1), pytest.raises(SolverNotConvergedError):
+            populate_table(serial, diagonal_l_max=8)
+        table = CoefficientTable(l_max=6)
+        start = time.perf_counter()
+        with cpus(2), pytest.raises(SolverNotConvergedError) as error:
+            populate_table(table, diagonal_l_max=8)
+        assert time.perf_counter() - start < delay / 4
+        assert str(error.value).startswith("f(5,3) bracket stuck")
+        [worker] = workers
+        assert_reaped(worker)
+        assert worker.exitcode == -signal.SIGTERM
+        assert list(table.entries.items()) == list(serial.entries.items())
+
     def test_interrupt_stops_the_worker(self, monkeypatch, workers):
         parent = os.getpid()
 
@@ -505,6 +536,7 @@ class TestLoadRejections:
         ("4,2,1.5,1.4,0.005,baa", "invalid bracket"),
         ("4,2,nan,1.4,0.005,baa", "invalid bracket"),
         ("4,2,1.3,1.4,-0.005,baa", "negative tolerance"),
+        ("4,2,1.3,1.4,nan,baa", "negative tolerance"),
         ("2,1,1.0,1.5,0.0,closed_form", "must equal"),
     ])
     def test_bad_rows(self, tmp_path, row, fragment):
