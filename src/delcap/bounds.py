@@ -28,6 +28,9 @@ from .tables import _top_level, alpha, alpha_tilde, closed_form_f
 UPPER_KINDS = ("c1_star", "c2_star", "c3", "c4", "erasure")
 LOWER_KINDS = ("lower_opt", "lower_iud")
 BOUND_KINDS = UPPER_KINDS + LOWER_KINDS
+# d_grid refuses finer grids: a million points take a second and 38 MB
+# before any check runs, and a step of 1e-9 would take 38 GB
+MAX_GRID_POINTS = 100_001
 
 _REQUIRED_PARAMETERS = {
     "c1_star": ("D", "l_max"),
@@ -444,6 +447,10 @@ def d_grid(start, stop, step):
         raise ParameterError(
             f"need 0 <= start <= stop <= 1, got {start}:{stop}:{step}")
     count = int(math.floor((stop - start) / step + 1e-9))
+    if count + 1 > MAX_GRID_POINTS:
+        raise ParameterError(
+            f"grid {start}:{stop}:{step} has {count + 1} points,"
+            f" more than {MAX_GRID_POINTS}")
     return [min(round(start + i * step, 12), 1.0) for i in range(count + 1)]
 
 

@@ -9,10 +9,18 @@ length, which makes the output alphabet every bit string of length 0..L,
 empty string included.
 
 Transition rows are stored CSR-style over integer ids; labels stay
-implicit until asked for. Counts come from one recursion over the leading
-input bit, which builds the sparse int32 count block (l, r) from the
-blocks (l-1, r-1) and (l-1, r) without ever forming a dense matrix; one
-walk (count_blocks) serves a list of cells, such as a whole table build.
+implicit until asked for. Counts come from one walk over the leading
+input bit (_walk), which builds the sparse int32 count block (l, r) from
+the blocks (l-1, r-1) and (l-1, r) without ever forming a dense matrix.
+Complementing every bit keeps every count, so a block's leading-1 half
+is its leading-0 half mirrored: rows and the order within each row
+reversed, each column c read as 2^r - 1 - c. The walk merges only the
+leading-0 halves, mirrors a half into a whole block only where a later
+level reads it, and leaves the rest as halves. Inside the walk and the
+folds, blocks are plain (indptr, indices, data) arrays handed to scipy's
+compiled sparse kernels at their exact sizes; a scipy matrix is made
+only where one leaves them. count_blocks serves a list of cells, such
+as a whole table build, as whole CSR blocks.
 The binomial family's count skeleton is the blocks (L, 0), ..., (L, L)
 side by side, and d only weights block r by d^(L-r) (1-d)^r; the solve
 path never forms it (see below).
@@ -33,7 +41,9 @@ integer embedding counts C on the orbits, times one weight per output
 length, M = C diag(w), which the solver applies to vectors; each
 length's part comes out as rows of C^T. One walk (_cell_folds) folds a
 list of cells (L, R): it takes each representative's length-R row from
-two count blocks of level L - 1, so no cell's own block is built. A
+the leading-0 halves of two count blocks of level L - 1, so no cell's
+own block is built and the last level is never completed; the rows
+that lie in a leading-1 half are mirrored from the leading-0 one. A
 fixed cell is its fold at r = R. The binomial store
 (_binomial_orbit_store) is the folds of (L, 0), ..., (L, L) stacked,
 kept for one L at a time and shared by every d, so the skeleton is
@@ -62,6 +72,9 @@ from functools import cache, cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import (csc_matvec, csr_matvec, csr_plus_csr,
+                                        csr_row_index, csr_sum_duplicates,
+                                        csr_tocsc)
 
 from .combinatorics import BitString
 from .errors import ParameterError, ResourceLimitError
@@ -163,23 +176,79 @@ class SparseChannel(_Rows):
         return len(self.indices)
 
 
-def _stack_twice(block, shift, width):
-    """[block; block with every column + shift] as a CSR of the given width."""
-    return sparse.csr_array(
-        (np.concatenate([block.data, block.data]),
-         np.concatenate([block.indices, block.indices + shift]),
-         np.concatenate([block.indptr, block.indptr[1:] + block.nnz])),
-        shape=(2 * block.shape[0], width))
+def _count_one():
+    """Count block (0, 0): the empty input holds the empty output once."""
+    return (np.array([0, 1], dtype=np.int32), np.zeros(1, dtype=np.int32),
+            np.ones(1, dtype=np.int32))
+
+
+def _plus(p, s, r):
+    """Block (l-1, r-1) widened to the length-r outputs plus block (l-1, r),
+    row for row, as exact-size arrays: the leading-0 half of block (l, r),
+    or the length-r rows x = 0.A of the given inputs A. Widening keeps
+    P's columns, those of the outputs 0.B. Every column of S with a
+    leading 0 is one of P's (0.B in A means B in A), so the sum holds
+    P's entries and S's leading-1 ones."""
+    rows = len(p[0]) - 1
+    nnz = len(p[1]) + int(np.count_nonzero(s[1] >= 1 << (r - 1)))
+    if nnz > np.iinfo(np.int32).max:  # the kernel's int32 offsets
+        raise ResourceLimitError(f"{nnz} count entries overflow int32")
+    out = (np.empty(rows + 1, dtype=np.int32),
+           np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32))
+    csr_plus_csr(rows, 1 << r, *p, *s, *out)
+    return out
 
 
 def _grow(level, l, r):
-    """Block (l, r) from level l-1, dropping block r-1, read by no later r."""
-    halves = []
+    """The leading-0 half of block (l, r) from the whole blocks of level
+    l-1, dropping block (l-1, r-1), read by no later r."""
+    parts = []
     if r > 0:
-        halves.append(_stack_twice(level.pop(r - 1), 1 << (r - 1), 1 << r))
+        parts.append(level.pop(r - 1))
     if r < l:
-        halves.append(_stack_twice(level[r], 0, 1 << r))
-    return sum(halves[1:], halves[0])
+        parts.append(level[r])
+    return _plus(*parts, r) if len(parts) == 2 else parts[0]
+
+
+def _complete(half, r):
+    """Block (l, r), l >= 1, from its leading-0 half: count(~x, ~y) =
+    count(x, y), so the leading-1 rows are the half's rows complemented in
+    reverse order, that is the half's arrays reversed with every column c
+    as 2^r - 1 - c."""
+    indptr, indices, data = half
+    nnz = len(indices)
+    indices = np.concatenate([indices, indices[::-1]])
+    np.subtract((1 << r) - 1, indices[nnz:], out=indices[nnz:])
+    return (np.concatenate([indptr, 2 * nnz - indptr[-2::-1]]), indices,
+            np.concatenate([data, data[::-1]]))
+
+
+def _walk(cells):
+    """The leading-bit walk behind count_blocks and _cell_folds: yields
+    (L, R, block) for the given cells in ascending order, with block as
+    its int32 (indptr, indices, data), whole where a later level reads
+    it and otherwise only its leading-0 half (count_blocks docstring)."""
+    cells = sorted(set(cells))
+    level = {0: _count_one()}
+    for l in range(max((L for L, _ in cells), default=-1) + 1):
+        # r -> whether a cell past level l reaches (l, r): those cells
+        # come last in sorted order, so their True wins
+        band = {r: L > l for L, R in cells if L >= l
+                for r in range(max(0, R - (L - l)), min(l, R) + 1)}
+        nxt = {}
+        for r in sorted(band):
+            if l:
+                block = _grow(level, l, r)
+                if band[r]:  # the next level reads it whole
+                    block = _complete(block, r)
+            else:
+                block = level[0]
+            if band[r]:
+                nxt[r] = block
+            if (l, r) in cells:
+                yield l, r, block
+            del block  # the next block is built without this one
+        level = nxt
 
 
 def count_blocks(cells):
@@ -188,30 +257,23 @@ def count_blocks(cells):
 
     Splitting off the leading bit of the input either consumes the leading
     output bit (when they match) or is deleted, which gives
-    count(a.A, b.B) = [a == b] count(A, B) + count(A, b.B). So block (l, r)
-    is [P; P with columns + 2^(r-1)] + [S; S], with P = block (l-1, r-1)
-    and S = block (l-1, r); each half is concatenated from its CSR arrays
-    and the sparse sum stays canonical. Level l builds, in ascending r,
+    count(a.A, b.B) = [a == b] count(A, B) + count(A, b.B). So the
+    leading-0 half of block (l, r), its rows x = 0.A, is P widened to the
+    length-r outputs plus S, with P = block (l-1, r-1) and S = block
+    (l-1, r); both are canonical, so one merge of their arrays (_plus)
+    keeps the sum canonical. Complementing every bit keeps every count, so
+    the leading-1 half is the leading-0 half mirrored (_complete) and the
+    walk merges only half of each block. Level l builds, in ascending r,
     the blocks (l, r) that a cell (L, R) with L >= l reaches, that is
-    0 <= R - r <= L - l, and keeps those that a cell past l reaches.
+    0 <= R - r <= L - l, and completes those that a cell past l reaches;
+    the others stay halves, and a cell's half is completed as it is
+    yielded.
     """
-    cells = sorted(set(cells))
-    # int32 holds every count C(l, r) <= C(33, 16), far past any buildable l
-    level = {0: sparse.csr_array(np.ones((1, 1), dtype=np.int32))}
-    for l in range(max((L for L, _ in cells), default=-1) + 1):
-        # r -> whether a cell past level l reaches (l, r): those cells
-        # come last in sorted order, so their True wins
-        band = {r: L > l for L, R in cells if L >= l
-                for r in range(max(0, R - (L - l)), min(l, R) + 1)}
-        nxt = {}
-        for r in sorted(band):
-            block = _grow(level, l, r) if l else level[0]
-            if band[r]:
-                nxt[r] = block
-            if (l, r) in cells:
-                yield l, r, block
-            del block  # the next block is built without this one
-        level = nxt
+    for l, r, (indptr, indices, data) in _walk(cells):
+        if len(indptr) <= 1 << l:  # a half
+            indptr, indices, data = _complete((indptr, indices, data), r)
+        yield l, r, sparse.csr_array((data, indices, indptr),
+                                     shape=(1 << l, 1 << r))
 
 
 def block_entries(L, r):
@@ -372,8 +434,10 @@ def _label_orbits(n):
         reverse |= ((values >> k) & 1) << (n - 1 - k)
     smallest = np.minimum(np.minimum(values, values ^ mask),
                           np.minimum(reverse, reverse ^ mask))
-    representatives = values[smallest == values]
-    index = np.searchsorted(representatives, smallest).astype(np.int32)
+    smallest_of_own = smallest == values
+    representatives = values[smallest_of_own]
+    # each orbit's number is its smallest member's rank among them
+    index = (np.cumsum(smallest_of_own, dtype=np.int32) - 1)[smallest]
     return index, representatives, np.bincount(index)
 
 
@@ -419,40 +483,46 @@ class OrbitChannel:
         return self._matrix_t.nnz
 
 
-def _row_sums(values, like):
-    """Sum of values over each row of the CSR like, added one at a time
-    in the row's order, so every fold of the same row sums alike."""
-    return sparse.csr_array((values, like.indices, like.indptr),
-                            shape=like.shape) @ np.ones(like.shape[1])
-
-
 def _fold_length(r, rows):
     """The length-r part of a fold: rows, one per input orbit, hold the
     representatives' int32 counts into the length-r outputs as canonical
-    CSR. Returns (C^T over the length-r output orbits, H's column r,
-    those orbits' sizes). H[o, r] is the sum of c log c over the counts c
-    of the row plus sum_O C[o, O] log |O|.
+    CSR arrays (indptr, indices, data). Returns (C^T over the length-r
+    output orbits, H's column r, those orbits' sizes). H[o, r] is the sum
+    of c log c over the counts c of the row plus sum_O C[o, O] log |O|.
 
     Relabelling each column by its orbit and converting to CSC is one
     counting sort: read as C^T, each orbit's rows ascend with duplicates
-    side by side, so they merge in one pass with no sort. The merge runs
-    on the int32 counts, which sum exactly, to keep the deep peak down
-    (8 bytes per pre-merge entry, not 12); only the merged counts are
-    cast to float64. int32 indices make the solver's products faster
-    than int64, with the same sums."""
+    side by side, so they merge in place in one pass with no sort. The
+    merge runs on the int32 counts, which sum exactly, to keep the deep
+    peak down (8 bytes per pre-merge entry, not 12); only the merged
+    counts are cast to float64. int32 indices make the solver's products
+    faster than int64, with the same sums. The kernels add each sum's
+    terms in the order scipy's public products do, so H keeps its bits."""
     index, _, sizes = _label_orbits(r)
-    c = rows.data.astype(np.float64)
-    c_log_c = np.log(c)
-    c_log_c *= c
-    h = _row_sums(c_log_c, rows)
-    del c, c_log_c
-    part_t = sparse.csr_array((rows.data, index[rows.indices], rows.indptr),
-                              shape=(rows.shape[0], len(sizes))).tocsc().T
-    part_t.sum_duplicates()  # in place; the indices are already sorted
-    part_t.data = part_t.data.astype(np.float64)
-    # the CSC view adds each row's terms in the order _row_sums would
-    h += part_t.T @ np.log(sizes)
-    return part_t, h, sizes
+    indptr, indices, counts = rows
+    inputs, orbits = len(indptr) - 1, len(sizes)
+    c_log_c = counts.astype(np.float64)
+    np.log(c_log_c, out=c_log_c)
+    c_log_c *= counts
+    h = np.zeros(inputs)
+    csr_matvec(inputs, 1 << r, indptr, indices, c_log_c, np.ones(1 << r), h)
+    del c_log_c
+    part_indptr = np.empty(orbits + 1, dtype=np.int32)
+    part_indices = np.empty(len(indices), dtype=np.int32)
+    part_counts = np.empty(len(indices), dtype=np.int32)
+    csr_tocsc(inputs, orbits, indptr, index[indices], counts,
+              part_indptr, part_indices, part_counts)
+    csr_sum_duplicates(orbits, inputs, part_indptr, part_indices, part_counts)
+    nnz = int(part_indptr[-1])
+    part_indices.resize(nnz, refcheck=False)  # shrinks in place
+    part_data = part_counts[:nnz].astype(np.float64)
+    del part_counts
+    by_size = np.zeros(inputs)
+    csc_matvec(inputs, orbits, part_indptr, part_indices, part_data,
+               np.log(sizes), by_size)
+    h += by_size
+    return sparse.csr_array((part_data, part_indices, part_indptr),
+                            shape=(orbits, inputs)), h, sizes
 
 
 def _append(stacked, values):
@@ -497,44 +567,71 @@ def _stack_folds(L, folds):
             input_sizes.astype(np.float64), output_sizes)
 
 
-def _widened(rows, r):
-    """Rows of a block (l, r-1) as counts into the length-r outputs: their
-    columns keep their values, those of the outputs with a leading 0."""
-    return sparse.csr_array((rows.data, rows.indices, rows.indptr),
-                            shape=(rows.shape[0], 1 << r))
+def _representative_rows(block, l, r):
+    """The length-r rows x = 0.A of the representatives x of length l + 1,
+    in their ascending order: rows A of block (l, r), read from its
+    leading-0 half as exact-size arrays. The representatives whose A has
+    a leading 1 are one run at the end; row A is the mirror of half row
+    2^l - 1 - A (_complete), so their rows are gathered from the half in
+    ascending order and the gathered arrays reversed once."""
+    indptr, indices, data = block
+    representatives = _label_orbits(l + 1)[1]
+    split = int(np.searchsorted(representatives, (1 << l) >> 1))
+    mirrors = (1 << l) - 1 - representatives[split:][::-1]
+    gathered = np.concatenate([representatives[:split], mirrors]).astype(
+        np.int32)
+    lengths = indptr[gathered + 1] - indptr[gathered]
+    lengths[split:] = lengths[split:][::-1]
+    rows_indptr = np.zeros(len(gathered) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=rows_indptr[1:])
+    head = int(rows_indptr[split])
+    rows_indices = np.empty(int(rows_indptr[-1]), dtype=np.int32)
+    rows_data = np.empty(len(rows_indices), dtype=np.int32)
+    csr_row_index(split, gathered[:split], indptr, indices, data,
+                  rows_indices[:head], rows_data[:head])
+    tail_indices = np.empty(len(rows_indices) - head, dtype=np.int32)
+    tail_data = np.empty(len(tail_indices), dtype=np.int32)
+    csr_row_index(len(mirrors), gathered[split:], indptr, indices, data,
+                  tail_indices, tail_data)
+    np.subtract((1 << r) - 1, tail_indices[::-1], out=rows_indices[head:])
+    rows_data[head:] = tail_data[::-1]
+    return rows_indptr, rows_indices, rows_data
 
 
 def _cell_folds(cells):
     """Folds of the given (L, R) cells, _fold_length(R, the cell's
     representative rows), yielded as (L, R, fold) in ascending order
-    from one count_blocks walk over the level below the cells.
+    from one walk over the level below the cells.
 
     A representative x is at most its complement, so x = 0.A with A of
     x's value, and the leading-bit recursion makes x's length-R row the
-    sum of row A of block (L-1, R-1), widened (_widened) because the
-    leading output bit is the consumed 0, and row A of block (L-1, R).
-    R = 0 and R = L take one of the two; cell (0, 0), with no level
-    below, is the single count 1.
+    sum of row A of block (L-1, R-1), widened because the leading output
+    bit is the consumed 0, and row A of block (L-1, R) (_plus). R = 0 and
+    R = L take one of the two; cell (0, 0), with no level below, is the
+    single count 1. The level below is read only through its leading-0
+    halves (_representative_rows), so no later level needs it whole and
+    the walk leaves it in halves.
     """
     cells = set(cells)
     if (0, 0) in cells:
-        yield 0, 0, _fold_length(
-            0, sparse.csr_array(np.ones((1, 1), dtype=np.int32)))
+        yield 0, 0, _fold_length(0, _count_one())
     below = {(L - 1, r) for L, R in cells if L
              for r in (R - 1, R) if 0 <= r < L}
-    # rows of the block the walk yielded last: (L-1, R-1) when (L-1, R)
-    # comes next, since both are in the walk
-    previous = None
-    for l, r, block in count_blocks(below):
-        _, representatives, _ = _label_orbits(l + 1)
-        rows = block[representatives]
+    # r -> rows of the block the walk yielded last: (L-1, R-1) when
+    # (L-1, R) comes next, since both are in the walk
+    previous = {}
+    for l, r, block in _walk(below):
+        rows = _representative_rows(block, l, r)
         del block  # the walk builds the next block without this one
         if (l + 1, r) in cells:
+            # popped, the rows of (l, r-1) are freed once merged, and no
+            # name holds the merged rows or the fold past this statement
             yield l + 1, r, _fold_length(
-                r, rows if r == 0 else rows + _widened(previous, r))
+                r, _plus(previous.pop(r - 1), rows, r) if r else rows)
         if r == l and (l + 1, l + 1) in cells:
-            yield l + 1, l + 1, _fold_length(l + 1, _widened(rows, l + 1))
-        previous = rows
+            # widening keeps the arrays: the length-(l+1) outputs 0.B
+            yield l + 1, l + 1, _fold_length(l + 1, rows)
+        previous = {r: rows}
 
 
 _stores = {}  # L -> its binomial store, for one L at a time

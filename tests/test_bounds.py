@@ -12,7 +12,8 @@ from delcap import (BoundSpec, ParameterError, SolverNotConvergedError,
                     d_grid, evaluate_bound, extrapolate_tilde_alpha_lemma4,
                     limit_large_d_c2, limit_small_d_c2, limit_small_d_c3,
                     lower_bound, resolve_l_max, solve_capacity, sweep_bound)
-from delcap.bounds import BOUND_KINDS, LOWER_KINDS, UPPER_KINDS
+from delcap.bounds import (BOUND_KINDS, LOWER_KINDS, MAX_GRID_POINTS,
+                           UPPER_KINDS)
 from delcap.tables import CoefficientTable
 
 from conftest import best_specs
@@ -545,6 +546,18 @@ class TestGridAndSweep:
         for step in (float("nan"), float("inf")):
             with pytest.raises(ParameterError, match="positive and finite"):
                 d_grid(0.1, 0.9, step)
+
+    def test_grid_point_cap(self):
+        # 1e-5 over [0, 1] is exactly the cap; a step a hair finer is one
+        # point past it, and a far finer one is refused before any work
+        grid = d_grid(0.0, 1.0, 1e-5)
+        assert len(grid) == MAX_GRID_POINTS == 100_001
+        assert grid[:3] == [0.0, 1e-5, 2e-5] and grid[-1] == 1.0
+        for step, points in ((0.99999e-5, 100_002), (1e-12, 10**12 + 1)):
+            with pytest.raises(ParameterError, match=(
+                    rf"^grid 0\.0:1\.0:{step} has {points} points,"
+                    rf" more than 100001$")):
+                d_grid(0.0, 1.0, step)
 
     def test_sweep_serves_endpoints_closed_form(self, default_table):
         curve = sweep_bound(BoundSpec("c4", {"L": 3}),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import weakref
 from fractions import Fraction
@@ -19,8 +20,7 @@ from delcap import (DEFAULT_ENTRY_BUDGET, BitString, ParameterError,
 from delcap.baa import _divergences
 from delcap.channel import (_binomial_orbit_store, _binomial_structure,
                             _cell_folds, _fold_length, _label_orbits,
-                            _row_sums, _stack_folds, _widened, block_entries,
-                            count_blocks)
+                            _stack_folds, block_entries, count_blocks)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -113,6 +113,74 @@ def assert_same_store(got, want):
         assert x.tobytes() == y.tobytes()
 
 
+def _stack_twice(block, shift, width):
+    """[block; block with every column + shift] as a CSR of the given width."""
+    return sparse.csr_array(
+        (np.concatenate([block.data, block.data]),
+         np.concatenate([block.indices, block.indices + shift]),
+         np.concatenate([block.indptr, block.indptr[1:] + block.nnz])),
+        shape=(2 * block.shape[0], width))
+
+
+@functools.cache
+def oracle_level(l):
+    """Reference count blocks (l, 0), ..., (l, l) from the plain leading-bit
+    recursion on whole blocks through scipy's public sum: block (l, r) is
+    [P; P with columns + 2^(r-1)] + [S; S], with P = block (l-1, r-1) and
+    S = block (l-1, r). Shared between tests, so never written to."""
+    if l == 0:
+        return (sparse.csr_array(np.ones((1, 1), dtype=np.int32)),)
+    below = oracle_level(l - 1)
+    blocks = []
+    for r in range(l + 1):
+        halves = []
+        if r > 0:
+            halves.append(_stack_twice(below[r - 1], 1 << (r - 1), 1 << r))
+        if r < l:
+            halves.append(_stack_twice(below[r], 0, 1 << r))
+        blocks.append(sum(halves[1:], halves[0]))
+    return tuple(blocks)
+
+
+def oracle_structure(L):
+    """The binomial skeleton of L from the reference blocks: (indptr,
+    indices, counts, output lengths, output values), as
+    _binomial_structure lays it out."""
+    stacked = sparse.hstack(oracle_level(L), format="csr")
+    sizes = [1 << r for r in range(L + 1)]
+    return (stacked.indptr, stacked.indices, stacked.data,
+            np.repeat(np.arange(L + 1, dtype=np.int8), sizes),
+            np.concatenate([np.arange(size) for size in sizes]))
+
+
+@functools.cache
+def dense_counts(L, R):
+    """embedding_count of every input of length L into every output of
+    length R, as a dense matrix."""
+    return np.array([[embedding_count(BitString(x, L), BitString(y, R))
+                      for y in range(1 << R)] for x in range(1 << L)],
+                    dtype=np.int64)
+
+
+def _row_sums(values, like):
+    """Sum of values over each row of the CSR like, through scipy's
+    public product."""
+    return sparse.csr_array((values, like.indices, like.indptr),
+                            shape=like.shape) @ np.ones(like.shape[1])
+
+
+def _widened(rows, r):
+    """Rows of a block (l, r-1) as counts into the length-r outputs: their
+    columns keep their values, those of the outputs with a leading 0."""
+    return sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                            shape=(rows.shape[0], 1 << r))
+
+
+def arrays(matrix):
+    """A CSR matrix as the (indptr, indices, data) the walk passes on."""
+    return matrix.indptr, matrix.indices, matrix.data
+
+
 class TestFixedChannel:
     def test_3_2_matches_published_fractions(self):
         channel = build_fixed_deletion_channel(3, 2)
@@ -190,8 +258,18 @@ class TestFixedChannel:
             build_fixed_deletion_channel(23, 2)
 
 
-_cells = st.integers(0, 10).flatmap(
-    lambda L: st.tuples(st.just(L), st.integers(0, L)))
+def _cells_to(l_max):
+    return st.integers(0, l_max).flatmap(
+        lambda L: st.tuples(st.just(L), st.integers(0, L)))
+
+
+_cells = _cells_to(10)
+
+# cell sets whose walks read a representative's mirrored row, that is a
+# row A with a leading 1, from a block's leading-0 half: L = 4..10 at
+# R = 0, at R = L, and with gaps in the band of every level
+_MIRRORED = ([(L, 0) for L in range(4, 11)], [(L, L) for L in range(4, 11)],
+             [(L, R) for L in range(4, 11) for R in (0, 2, L)])
 
 
 class TestCountWalk:
@@ -209,6 +287,23 @@ class TestCountWalk:
                 got, want = getattr(block, name), getattr(alone, name)
                 assert got.dtype == want.dtype == np.int32
                 assert np.array_equal(got, want), (L, R, name)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(_cells_to(12), min_size=1, max_size=10))
+    @example(_MIRRORED[0])
+    @example(_MIRRORED[1])
+    @example(_MIRRORED[2])
+    @example([(12, 0), (12, 6), (12, 12), (0, 0)])
+    def test_walk_equals_full_block_recursion(self, cells):
+        # the halves, their mirrors and the completed blocks against the
+        # whole-block recursion, and against embedding_count up to L = 8
+        walked = list(count_blocks(cells))
+        assert [(L, R) for L, R, _ in walked] == sorted(set(cells))
+        for L, R, block in walked:
+            assert_same_csr(block, oracle_level(L)[R])
+            assert block.has_canonical_format
+            if L <= 8:
+                assert np.array_equal(block.toarray(), dense_counts(L, R))
 
     def test_closed_form_block_sizes(self):
         cells = [(L, r) for L in range(13) for r in range(L + 1)]
@@ -436,7 +531,7 @@ class TestOrbitChannel:
     def test_store_from_level_below_equals_eager_fold(self, L):
         # uncached, so every example builds the store afresh
         store = _stack_folds(L, _cell_folds([(L, r) for r in range(L + 1)]))
-        assert_same_store(store, eager_fold(L, *_binomial_structure(L)))
+        assert_same_store(store, eager_fold(L, *oracle_structure(L)))
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(_cells, min_size=1, max_size=8))
@@ -444,11 +539,14 @@ class TestOrbitChannel:
     @example([(L, L - 1) for L in range(3, 11)])  # a diagonal alone
     @example([(10, 2), (10, 9)])  # a gap in the band of every level
     @example([(7, 0), (7, 7), (8, 8), (8, 3), (8, 3)])
+    @example(_MIRRORED[0])
+    @example(_MIRRORED[1])
+    @example(_MIRRORED[2])
     def test_cell_folds_equal_eager_fold(self, cells):
         folds = list(_cell_folds(cells))
         assert [(L, R) for L, R, _ in folds] == sorted(set(cells))
         for L, R, fold in folds:
-            [(_, _, block)] = count_blocks([(L, R)])
+            block = oracle_level(L)[R]
             assert_same_store(_stack_folds(L, [(L, R, fold)]), eager_fold(
                 L, block.indptr, block.indices, block.data,
                 np.full(1 << R, R, dtype=np.int8), np.arange(1 << R)))
@@ -514,14 +612,12 @@ def _fold_rows(draw):
 
 def representative_rows(L, r, positions):
     """The count rows of the representatives at positions into the
-    length-r outputs; at r = L > 0 widened from block (L-1, L-1), as the
-    walk hands them to _fold_length."""
+    length-r outputs, from the reference blocks; at r = L > 0 widened from
+    block (L-1, L-1), as the walk hands them to _fold_length."""
     chosen = _label_orbits(L)[1][positions]
     if r == L > 0:
-        [(_, _, block)] = count_blocks([(L - 1, L - 1)])
-        return _widened(block[chosen], L)
-    [(_, _, block)] = count_blocks([(L, r)])
-    return block[chosen]
+        return _widened(oracle_level(L - 1)[L - 1][chosen], L)
+    return oracle_level(L)[r][chosen]
 
 
 def sorted_fold(r, rows):
@@ -552,7 +648,7 @@ class TestOneMatrix:
     def test_fold_length_equals_sorted_merge(self, case):
         L, r, positions = case
         rows = representative_rows(L, r, positions)
-        part_t, h, _ = _fold_length(r, rows)
+        part_t, h, _ = _fold_length(r, arrays(rows))
         assert part_t.has_canonical_format
         assert sparse.csr_array((part_t.data, part_t.indices, part_t.indptr),
                                 shape=part_t.shape).has_canonical_format
@@ -588,6 +684,112 @@ class TestOneMatrix:
                                         getattr(channel._matrix_t, name))
         assert [f.name for f in dataclasses.fields(delcap.channel.OrbitChannel)
                 if f.type is sparse.csr_array] == ["_matrix_t"]
+
+
+@st.composite
+def _canonical_csr(draw, shape=None):
+    """A canonical int32 CSR array (sorted rows, no duplicates, no stored
+    zero) of the given or a drawn shape, with positive counts."""
+    rows, cols = shape or (draw(st.integers(1, 8)), draw(st.integers(1, 16)))
+    dense = np.zeros((rows, cols), dtype=np.int32)
+    for i, j in draw(st.sets(st.tuples(st.integers(0, rows - 1),
+                                       st.integers(0, cols - 1)))):
+        dense[i, j] = draw(st.integers(1, 1 << 20))
+    matrix = sparse.csr_array(dense)
+    assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+    return matrix
+
+
+@st.composite
+def _relabelled(draw):
+    """(canonical rows, a relabelling of their columns onto fewer ids):
+    the rows _fold_length hands to its counting sort."""
+    matrix = draw(_canonical_csr())
+    labels = draw(st.lists(st.integers(0, 7), min_size=matrix.shape[1],
+                           max_size=matrix.shape[1]))
+    return matrix, np.array(labels, dtype=np.int32)
+
+
+def _empty_like_csr(rows, nnz):
+    return (np.empty(rows + 1, dtype=np.int32),
+            np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32))
+
+
+class TestKernelSeam:
+    """Each compiled scipy kernel the walk and the folds call, as they call
+    it, equals its public scipy counterpart bit for bit, dtypes included;
+    a scipy release that changes them fails here, not in the output."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_plus_is_the_public_sum(self, data):
+        a = data.draw(_canonical_csr())
+        b = data.draw(_canonical_csr(a.shape))
+        want = a + b
+        out = _empty_like_csr(a.shape[0], want.nnz)
+        delcap.channel.csr_plus_csr(*a.shape, *arrays(a), *arrays(b), *out)
+        indptr, indices, counts = out
+        assert_same_csr(sparse.csr_array((counts, indices, indptr),
+                                         shape=a.shape), want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_row_index_is_the_public_selection(self, data):
+        a = data.draw(_canonical_csr())
+        rows = np.array(data.draw(st.lists(st.integers(0, a.shape[0] - 1),
+                                           min_size=1)), dtype=np.int32)
+        want = a[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(a.indptr[rows + 1] - a.indptr[rows], out=indptr[1:])
+        _, indices, counts = _empty_like_csr(0, int(indptr[-1]))
+        delcap.channel.csr_row_index(len(rows), rows, *arrays(a), indices,
+                                     counts)
+        assert_same_csr(sparse.csr_array((counts, indices, indptr),
+                                         shape=want.shape), want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_relabelled())
+    def test_tocsc_and_sum_duplicates_are_public(self, case):
+        matrix, labels = case
+        rows, ids = matrix.shape[0], 8
+        relabelled = sparse.csr_array(
+            (matrix.data, labels[matrix.indices], matrix.indptr),
+            shape=(rows, ids))
+        # the CSC arrays read as C^T's CSR, as _fold_length reads them
+        want_t = sparse.csr_array(arrays(relabelled.tocsc())[::-1],
+                                  shape=(ids, rows))
+        indptr, indices, counts = _empty_like_csr(ids, matrix.nnz)
+        delcap.channel.csr_tocsc(rows, ids, *arrays(relabelled),
+                                 indptr, indices, counts)
+        assert_same_csr(sparse.csr_array((counts, indices, indptr),
+                                         shape=(ids, rows)), want_t)
+        # the public merge, against the kernel in place
+        want_t.sum_duplicates()
+        delcap.channel.csr_sum_duplicates(ids, rows, indptr, indices, counts)
+        nnz = int(indptr[-1])
+        indices.resize(nnz, refcheck=False)
+        assert_same_csr(sparse.csr_array((counts[:nnz], indices, indptr),
+                                         shape=(ids, rows)), want_t)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matvec_is_the_public_product(self, data):
+        def floats(n):
+            return np.array(data.draw(st.lists(st.floats(-1e6, 1e6),
+                                               min_size=n, max_size=n)))
+
+        pattern = data.draw(_canonical_csr())
+        a = sparse.csr_array((floats(pattern.nnz), pattern.indices,
+                              pattern.indptr), shape=pattern.shape)
+        x, y = floats(a.shape[1]), floats(a.shape[0])
+        got = np.zeros(a.shape[0])
+        delcap.channel.csr_matvec(*a.shape, *arrays(a), x, got)
+        assert got.tobytes() == (a @ x).tobytes()
+        # C's product on the CSC view of C^T
+        got = np.zeros(a.shape[1])
+        delcap.channel.csc_matvec(a.shape[1], a.shape[0], *arrays(a), y,
+                                  got)
+        assert got.tobytes() == (a.T @ y).tobytes()
 
 
 class TestDump:

@@ -519,6 +519,13 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {error}\n"
 
+    def test_grid_past_the_point_cap_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--kind", "c3", "--L", "5",
+                                 "--d-grid", "0:1:1e-9")
+        assert code == 1 and out == ""
+        assert err == ("error: grid 0.0:1.0:1e-09 has 1000000000 points,"
+                       " more than 100001\n")
+
     def test_entry_budget_refusal(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--kind", "c4", "--L", "10",
                                  "--d", "0.5", "--entry-budget", "1000")

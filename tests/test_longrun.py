@@ -1,13 +1,12 @@
 """Deep-block reproduction jobs, hidden behind --run-long for their
 time and memory. Measured on 2 cores with 8 GB, all seven pass in
-73–84 s at about 2.4 GB, set by the L=18 job: the process keeps one block
+60–65 s at about 2.0 GB, set by the L=18 job: the process keeps one block
 length's folded binomial store at a time, so the L=17 store is dropped
-before the L=18 one is built. Run alone: the deep-table jobs (diagonal
-to 22) take about 21 s at 0.8 GB, the (17, 8) ratio 3 s at 0.4 GB, the
-two L=17 jobs (c4, lower bound) 13 s and 6 s at 0.84 GB, most of it
-the folded L=17 binomial store, and the L=18 c4 job 37 s at 2.3 GB.
-The L=17 store build alone, in a child process, peaks at about 0.83 GB
-against the 0.9 GB its job allows.
+before the L=18 one is built. In one run: the deep-table jobs (diagonal
+to 22) take about 12 s, the (17, 8) ratio 1 s, the two L=17 jobs (c4,
+lower bound) 9 s and 3 s, most of it the folded L=17 binomial store,
+and the L=18 c4 job 30 s. The L=17 store build alone, in a child
+process, peaks at about 0.7 GB against the 0.9 GB its job allows.
 
 The quick gate in test_acceptance.py only checks that these jobs exist;
 their values repeat the frozen desk-scale references at full depth, and

@@ -74,7 +74,7 @@ class TestFValue:
                                              slack=TABLE_VALUE_TOLERANCE * 2)
 
     def test_miss_over_budget_refused_before_any_walk(self, monkeypatch):
-        monkeypatch.setattr(delcap.channel, "count_blocks",
+        monkeypatch.setattr(delcap.channel, "_walk",
                             lambda cells: pytest.fail("walked"))
         # (6, 3) may need 2^6 * 8 = 512 entries
         table = CoefficientTable(l_max=6, entry_budget=511)
@@ -234,14 +234,14 @@ class TestPopulate:
         # each cell is folded from the level below it, so the only level-6
         # blocks built are the two that fold the diagonal cell (7, 6)
         yielded = []
-        walk = delcap.channel.count_blocks
+        walk = delcap.channel._walk
 
         def recorded(cells):
             for L, R, block in walk(cells):
                 yielded.append((L, R))
                 yield L, R, block
 
-        monkeypatch.setattr(delcap.channel, "count_blocks", recorded)
+        monkeypatch.setattr(delcap.channel, "_walk", recorded)
         with cpus(1):  # the walk of one process
             table = populate_table(CoefficientTable(l_max=6), diagonal_l_max=7)
         assert (7, 6) in table.entries and (6, 4) in table.entries
