@@ -455,11 +455,9 @@ def d_grid(start, stop, step):
 
 
 def sweep_provenance(table):
-    """The note a sweep carries: the table depth and tolerance its values
-    read, and the tolerance of its capacity solves, which is the table's
-    too."""
-    return (f"table l_max={table.l_max} tolerance={table.tolerance!r};"
-            f" solver_tolerance={table.tolerance!r}")
+    """The note a sweep carries: the table depth its values read, and the
+    tolerance of the table's cells and of the sweep's capacity solves."""
+    return f"table l_max={table.l_max} tolerance={table.tolerance!r}"
 
 
 def sweep_bound(spec, grid, table):

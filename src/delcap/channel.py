@@ -39,23 +39,27 @@ certifies the same capacity.
 Both families fold alike, one output length at a time (_fold_length):
 integer embedding counts C on the orbits, times one weight per output
 length, M = C diag(w), which the solver applies to vectors; each
-length's part comes out as rows of C^T. One walk (_cell_folds) folds a
-list of cells (L, R): it takes each representative's length-R row from
-the leading-0 halves of two count blocks of level L - 1, so no cell's
-own block is built and the last level is never completed; the rows
-that lie in a leading-1 half are mirrored from the leading-0 one. A
-fixed cell is its fold at r = R. The binomial store
-(_binomial_orbit_store) is the folds of (L, 0), ..., (L, L) stacked,
-kept for one L at a time and shared by every d, so the skeleton is
-never built either. orbit_stack lays the weights of several d over the
-store as one stack, which the solver solves in one pass.
+length's part comes out as rows of C^T, beside its column of the row
+term table H, which holds one column per folded length. One walk
+(_cell_folds) folds a list of cells (L, R): it takes each
+representative's length-R row from the leading-0 halves of two count
+blocks of level L - 1, so no cell's own block is built and the last
+level is never completed; the rows that lie in a leading-1 half are
+mirrored from the leading-0 one. A fixed cell is its fold at r = R,
+with one column of H. The binomial store (_binomial_orbit_store) is
+the folds of (L, 0), ..., (L, L) stacked, kept for one L at a time and
+shared by every d, so the skeleton is never built either. orbit_stack
+lays the weights of several d over the store as one stack, which the
+solver solves in one pass.
 
 SparseChannel is an explicit DMC that holds its arrays. Each family is
 a small frozen class of its parameters, FixedDeletionChannel (L, R) and
 BinomialDeletionChannel (L, length weights), that forms its rows as
 cached properties on first read (row, dump_channel, validate, a solve
 on the full channel), counts its entries in closed form, and folds
-itself onto orbits (folded) without reading its rows.
+itself onto orbits (folded) without reading its rows; a fixed cell
+folds a fold from a walk over many cells where it is given one. Only
+the builders check the parameters against the limits.
 
 Every channel holds one matrix, and the solver's other product runs on
 its transposed view, whose sums take each entry's terms in the same
@@ -287,27 +291,13 @@ def _skeleton_entries(L):
     return sum(block_entries(L, r) for r in range(L + 1))
 
 
-def _check_fixed_cell(L, R, entry_budget):
-    if L < 0 or R < 0 or R > L:
-        raise ParameterError(f"need 0 <= R <= L, got L={L}, R={R}")
-    if L > L_CAP:
-        raise ResourceLimitError(f"L={L} beyond the block-length cap {L_CAP}")
-    worst = (1 << L) * min(math.comb(L, R), 1 << R)
-    if worst > entry_budget:
-        raise ResourceLimitError(
-            f"fixed channel ({L},{R}) may need {worst} entries,"
-            f" budget {entry_budget}")
-
-
 @dataclass(frozen=True, eq=False)
 class FixedDeletionChannel(_Rows):
     """Cell (L, R) of the fixed-deletion family. Its rows, the int32 count
-    block (L, R) from a walk of its own, and probs form on first read; a
-    fold from a _cell_folds walk spares folded() a walk to the cell alone."""
+    block (L, R) from a walk of its own, and probs form on first read."""
 
     input_length: int   # L
     output_length: int  # R
-    fold: tuple | None = None
 
     @cached_property
     def _block(self):
@@ -330,28 +320,36 @@ class FixedDeletionChannel(_Rows):
     entry_count = property(
         lambda self: block_entries(self.input_length, self.output_length))
 
-    def folded(self):
-        """The cell on its orbits (see the module docstring): its fold, or
-        one from a walk to the cell alone, uncached (the table solves each
-        cell once), weighted 1 / C(L, R) at r = R."""
-        L, R, fold = self.input_length, self.output_length, self.fold
+    def folded(self, fold=None):
+        """The cell on its orbits (see the module docstring), uncached (the
+        table solves each cell once): the given fold, which a _cell_folds
+        walk over many cells made, or one from a walk to the cell alone,
+        weighted 1 / C(L, R)."""
+        L, R = self.input_length, self.output_length
         if fold is None:
             [(_, _, fold)] = _cell_folds([(L, R)])
-        w = np.zeros(L + 1)
-        w[R] = 1.0 / self.exact_denominator
-        return _weigh(L, _stack_folds(L, [(L, R, fold)]), w)
+        return _weigh(L, _stack_folds(L, [(L, R, fold)]),
+                      np.array([1.0 / self.exact_denominator]))
 
 
-def build_fixed_deletion_channel(L, R, *, entry_budget=DEFAULT_ENTRY_BUDGET,
-                                 fold=None):
+def build_fixed_deletion_channel(L, R, *, entry_budget=DEFAULT_ENTRY_BUDGET):
     """Channel that deletes exactly L - R bits, uniformly over patterns.
 
     P(b | a) = embedding_count(a, b) / C(L, L - R); every row is a list of
     exact rationals over the common denominator and sums to one exactly.
-    fold is the cell's fold, when a _cell_folds walk has made it.
+    The budget counts the cell's full count block, at most 2^L rows of
+    min(C(L, R), 2^R) entries.
     """
-    _check_fixed_cell(L, R, entry_budget)
-    return FixedDeletionChannel(L, R, fold)
+    if L < 0 or R < 0 or R > L:
+        raise ParameterError(f"need 0 <= R <= L, got L={L}, R={R}")
+    if L > L_CAP:
+        raise ResourceLimitError(f"L={L} beyond the block-length cap {L_CAP}")
+    worst = (1 << L) * min(math.comb(L, R), 1 << R)
+    if worst > entry_budget:
+        raise ResourceLimitError(
+            f"fixed channel ({L},{R}) may need {worst} entries,"
+            f" budget {entry_budget}")
+    return FixedDeletionChannel(L, R)
 
 
 @cache
@@ -429,9 +427,10 @@ def _label_orbits(n):
     member; those smallest members, ascending; orbit sizes)."""
     values = np.arange(1 << n, dtype=np.int64)
     mask = (1 << n) - 1
-    reverse = np.zeros_like(values)
-    for k in range(n):
-        reverse |= ((values >> k) & 1) << (n - 1 - k)
+    # the reversal of 0.A is reverse(A) then 0, and of 1.A reverse(A) then 1
+    reverse = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        reverse = np.concatenate([2 * reverse, 2 * reverse + 1])
     smallest = np.minimum(np.minimum(values, values ^ mask),
                           np.minimum(reverse, reverse ^ mask))
     smallest_of_own = smallest == values
@@ -487,8 +486,9 @@ def _fold_length(r, rows):
     """The length-r part of a fold: rows, one per input orbit, hold the
     representatives' int32 counts into the length-r outputs as canonical
     CSR arrays (indptr, indices, data). Returns (C^T over the length-r
-    output orbits, H's column r, those orbits' sizes). H[o, r] is the sum
-    of c log c over the counts c of the row plus sum_O C[o, O] log |O|.
+    output orbits, H's column of length r, those orbits' sizes). Its
+    entry H[o, r] is the sum of c log c over the counts c of the row plus
+    sum_O C[o, O] log |O|.
 
     Relabelling each column by its orbit and converting to CSC is one
     counting sort: read as C^T, each orbit's rows ascend with duplicates
@@ -535,15 +535,16 @@ def _append(stacked, values):
 
 def _stack_folds(L, folds):
     """The folded store from the folds of cells (L, r), r ascending, as
-    _cell_folds yields them: (C transposed, H, the output length of each
-    column of C, representatives, input_sizes, output_sizes). C
-    transposed is CSR with one row per output orbit, numbered length by
-    length, shortest first. Each part arrives as rows of C^T, so its data
-    and indices are only appended in place (_append) and it is dropped:
-    no part is held beside a stacked copy."""
+    _cell_folds yields them: (C transposed, H, the folded lengths, the
+    part of each column of C, representatives, input_sizes,
+    output_sizes). C transposed is CSR with one row per output orbit,
+    numbered length by length, shortest first; H has one column per
+    folded length, and a column's part is its length's position among
+    them. Each part arrives as rows of C^T, so its data and indices are
+    only appended in place (_append) and it is dropped: no part is held
+    beside a stacked copy."""
     _, representatives, input_sizes = _label_orbits(L)
-    h = np.zeros((len(representatives), L + 1))
-    lengths, sizes = [], []
+    columns, lengths, sizes = [], [], []
     data = np.empty(0)
     indices = np.empty(0, dtype=np.int32)
     indptr = [np.zeros(1, dtype=np.int64)]
@@ -552,7 +553,7 @@ def _stack_folds(L, folds):
         _append(data, part_t.data)
         _append(indices, part_t.indices)
         del part_t
-        h[:, r] = column
+        columns.append(column)
         lengths.append(r)
         sizes.append(part_sizes)
     indptr = np.concatenate(indptr)
@@ -561,9 +562,10 @@ def _stack_folds(L, folds):
     output_sizes = np.concatenate(sizes)
     matrix_t = sparse.csr_array((data, indices, indptr), shape=(
         len(output_sizes), len(representatives)))
-    column_lengths = np.repeat(np.array(lengths, dtype=np.int8),
-                               [len(s) for s in sizes])
-    return (matrix_t, h, column_lengths, representatives,
+    column_parts = np.repeat(np.arange(len(lengths), dtype=np.int8),
+                             [len(s) for s in sizes])
+    return (matrix_t, np.column_stack(columns),
+            np.array(lengths, dtype=np.int8), column_parts, representatives,
             input_sizes.astype(np.float64), output_sizes)
 
 
@@ -650,18 +652,18 @@ def _binomial_orbit_store(L):
 
 
 def _weigh(L, folded, w):
-    """The OrbitChannel of folded counts under length weights w: one
-    row of L + 1 weights, or one row per channel of a stack."""
-    (counts_t, by_length, column_lengths, representatives, input_sizes,
-     output_sizes) = folded
+    """The OrbitChannel of folded counts under weights w of the folded
+    lengths: one row of weights, or one row per channel of a stack."""
+    (counts_t, by_length, lengths, column_parts, representatives,
+     input_sizes, output_sizes) = folded
     # the row term: H @ w plus sum_r (embeddings of length r) w_r log w_r
     w_log_w = w * np.log(np.where(w > 0.0, w, 1.0))  # 0 log 0 = 0
-    embeddings = np.array([math.comb(L, r) for r in range(L + 1)],
+    embeddings = np.array([math.comb(L, r) for r in lengths],
                           dtype=np.float64)
     row_term = np.array([by_length @ w_r + embeddings @ w_log_w_r
                          for w_r, w_log_w_r in zip(np.atleast_2d(w),
                                                    np.atleast_2d(w_log_w))])
-    return OrbitChannel(counts_t, w[..., column_lengths],
+    return OrbitChannel(counts_t, w[..., column_parts],
                         row_term.reshape(w.shape[:-1] + (-1,)),
                         representatives, input_sizes, output_sizes)
 

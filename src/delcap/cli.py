@@ -95,7 +95,7 @@ def build_parser():
                         help=f"permit depths past {LONG_RUN_LIMIT} (seconds"
                              " to minutes and up to gigabytes of memory:"
                              " the diagonal to 22 takes about 5 s and"
-                             " 0.7 GB; an L=17 c4 solve about 10 s and"
+                             " 0.5 GB; an L=17 c4 solve about 10 s and"
                              " 0.7 GB)")
 
     p_table = sub.add_parser(

@@ -9,7 +9,10 @@ certified lower bounds on the gap alpha = R - f: one uses that the gap
 never shrinks with block length, the other telescopes the per-step
 shrink factor (1 - D/(L+1)) along the deleted-count diagonal.
 
-populate_table solves the cells it lacks on two processes where it can
+One entry, _solve_cells, solves table cells, for populate_table and for
+f_value's miss alike. It first builds every cell's channel in the
+calling process, so the builder's check refuses a cell before any walk
+or fork. It then solves the cells on two processes where it can
 (workers.run_shares): a forked worker takes the deepest full row
 (L = l_max) and the diagonal past it, while the calling process takes
 the shallower rows. Each runs the same serial loop over its share, from
@@ -27,7 +30,7 @@ from functools import partial
 from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, solve_capacity
-from .channel import (DEFAULT_ENTRY_BUDGET, _cell_folds, _check_fixed_cell,
+from .channel import (DEFAULT_ENTRY_BUDGET, _cell_folds,
                       build_fixed_deletion_channel)
 from .errors import (ExtrapolationRequiredError, ParameterError,
                      SolverNotConvergedError, TableChecksumError,
@@ -43,10 +46,6 @@ SOURCE_CLOSED = "closed_form"
 SOURCE_BAA = "baa"
 SOURCE_LOADED = "loaded"
 _SOURCES = (SOURCE_CLOSED, SOURCE_BAA, SOURCE_LOADED)
-
-# switch the telescoped product to log-gamma beyond this many factors
-_PRODUCT_LOOP_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class TableEntry:
@@ -114,7 +113,8 @@ def f_value(L, R, table, side):
     """One side of the certified bracket around f(L, R).
 
     Closed-form rows are exact; other cells are served from the cache,
-    solved on miss when L <= table.l_max, and refused past that.
+    solved on miss (_solve_cells) when L <= table.l_max, and refused past
+    that.
     """
     _check_side(side)
     if L < 0 or R < 0 or R > L:
@@ -128,7 +128,6 @@ def f_value(L, R, table, side):
             raise ExtrapolationRequiredError(
                 f"f({L},{R}) is beyond the populated range (l_max="
                 f"{table.l_max}); extrapolate instead")
-        _check_fixed_cell(L, R, table.entry_budget)  # before any walk
         _solve_cells(table, [(L, R)])
         entry = table.entries[(L, R)]
     return entry.f_lower if side == "lower" else entry.f_upper
@@ -179,8 +178,9 @@ def extrapolate_tilde_alpha_lemma4(L, D, table, start=None):
 
     Chains alpha~(l+1, D) >= alpha~(l, D) (1 - D/(l+1)) from the last
     populated diagonal value at block length `start` (default l_max). The
-    product telescopes to a ratio of binomial coefficients; huge L uses
-    log-gamma instead of the literal loop.
+    product of the factors over l = start..L-1 telescopes to
+    C(start, D) / C(L, D), taken as one correctly rounded ratio of exact
+    integers.
     """
     if start is None:
         start = table.l_max
@@ -191,25 +191,18 @@ def extrapolate_tilde_alpha_lemma4(L, D, table, start=None):
     base = alpha_tilde(start, D, table, "lower")
     if D == 0 or base == 0.0:
         return base
-    if L - start <= _PRODUCT_LOOP_LIMIT:
-        factor = 1.0
-        for j in range(start + 1, L + 1):
-            factor *= 1.0 - D / j
-    else:
-        factor = math.exp(math.lgamma(L - D + 1) - math.lgamma(start - D + 1)
-                          - math.lgamma(L + 1) + math.lgamma(start + 1))
-    return base * factor
+    return base * (math.comb(start, D) / math.comb(L, D))
 
 
-def _solve_cells(table, cells):
-    """Solve the given cells into table.entries in walk order, each as one
-    _cell_folds walk hands out its fold, and return the entries solved.
-    A stuck cell's SolverNotConvergedError carries, as .entries, those
-    solved before it."""
+def _solve_share(table, channels):
+    """Solve one share's cells, given as {(L, R): channel}, into
+    table.entries in walk order, each as one _cell_folds walk hands out
+    its fold, and return the entries solved. A stuck cell's
+    SolverNotConvergedError carries, as .entries, those solved before
+    it."""
     solved = {}
-    for L, R, fold in _cell_folds(cells):
-        channel = build_fixed_deletion_channel(
-            L, R, entry_budget=table.entry_budget, fold=fold).folded()
+    for L, R, fold in _cell_folds(channels):
+        channel = channels[(L, R)].folded(fold)
         del fold  # through the solve, channel alone holds the counts
         result = solve_capacity(channel, table.tolerance, table.max_iterations)
         del channel  # the walk folds the next cell without this one
@@ -226,17 +219,32 @@ def _solve_cells(table, cells):
     return solved
 
 
+def _solve_cells(table, cells):
+    """Solve the given cells into table.entries (see the module
+    docstring), in one share or, with two or more CPUs, in a shallow and
+    a deep one. A stuck cell raises the error the serial loop would raise
+    first, with the table holding the entries a serial build holds then.
+    """
+    channels = {(L, R): build_fixed_deletion_channel(
+        L, R, entry_budget=table.entry_budget) for L, R in cells}
+    shallow, deep = {}, {}
+    for cell, channel in channels.items():
+        (shallow if cell[0] < table.l_max else deep)[cell] = channel
+    shares = [channels]
+    if shallow and deep and cpu_count() > 1:
+        shares = [shallow, deep]
+    try:
+        for entries in run_shares(partial(_solve_share, table), shares):
+            table.entries.update(entries)
+    except SolverNotConvergedError as stuck:  # a worker's, or this share's
+        table.entries.update(stuck.entries)
+        raise
+
+
 def populate_table(table, *, diagonal_l_max=None):
     """Fill the full grid up to table.l_max, plus the R = L-1 diagonal up
-    to diagonal_l_max, solving cells that are missing or were cached at a
-    looser tolerance (every cell is checked against the limits first).
-    Returns the table.
-
-    With two or more CPUs, a forked worker solves the deepest full row
-    (L = table.l_max) and the diagonal past it while this process solves
-    the shallower rows (see the module docstring), unless either share
-    is empty. A stuck cell raises the error the serial loop would raise
-    first, with the table holding the entries a serial build holds then.
+    to diagonal_l_max, solving in one _solve_cells call the cells that
+    are missing or were cached at a looser tolerance. Returns the table.
     """
     if diagonal_l_max is None:
         diagonal_l_max = table.l_max
@@ -248,21 +256,8 @@ def populate_table(table, *, diagonal_l_max=None):
             table.entries[(L, R)] = TableEntry(value, value, 0.0, SOURCE_CLOSED)
     cells = [(L, R) for L in range(3, table.l_max + 1) for R in range(2, L)]
     cells += [(L, L - 1) for L in range(table.l_max + 1, diagonal_l_max + 1)]
-    todo = [cell for cell in cells if cell not in table.entries
-            or table.entries[cell].tolerance > table.tolerance]
-    for cell in todo:
-        _check_fixed_cell(*cell, table.entry_budget)
-    shallow = [cell for cell in todo if cell[0] < table.l_max]
-    deep = [cell for cell in todo if cell[0] >= table.l_max]
-    shares = [todo]
-    if shallow and deep and cpu_count() > 1:
-        shares = [shallow, deep]
-    try:
-        for entries in run_shares(partial(_solve_cells, table), shares):
-            table.entries.update(entries)
-    except SolverNotConvergedError as stuck:  # a worker's, or this share's
-        table.entries.update(stuck.entries)
-        raise
+    _solve_cells(table, [cell for cell in cells if cell not in table.entries
+                         or table.entries[cell].tolerance > table.tolerance])
     return table
 
 

@@ -357,7 +357,7 @@ class TestDispatch:
                  lower_bound(5, d, "optimized", 1e-3, **limits))]:
             assert evaluate_bound(spec, d, table).tolist() == expected.tolist()
             assert sweep_bound(spec, d, table).provenance == (
-                "table l_max=4 tolerance=0.001; solver_tolerance=0.001")
+                "table l_max=4 tolerance=0.001")
 
     def test_compose_prefers_erasure_on_ties(self, default_table):
         value, winner = compose_best_upper(

@@ -20,7 +20,8 @@ from delcap import (DEFAULT_ENTRY_BUDGET, BitString, ParameterError,
 from delcap.baa import _divergences
 from delcap.channel import (_binomial_orbit_store, _binomial_structure,
                             _cell_folds, _fold_length, _label_orbits,
-                            _stack_folds, block_entries, count_blocks)
+                            _stack_folds, _weigh, block_entries,
+                            count_blocks)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -105,10 +106,15 @@ def assert_same_csr(a, b):
 
 
 def assert_same_store(got, want):
-    """Two folded stores agree bit for bit, dtypes included."""
-    assert len(got) == len(want)
-    assert_same_csr(got[0], want[0])
-    for x, y in zip(got[1:], want[1:]):
+    """A folded store agrees bit for bit, dtypes included, with eager_fold's,
+    whose H has a column for every length: its H is the oracle's over the
+    folded lengths, and its columns' parts name the oracle's lengths."""
+    counts_t, h, lengths, column_parts, *rest = got
+    want_t, want_h, want_lengths, *want_rest = want
+    assert_same_csr(counts_t, want_t)
+    pairs = [(h, want_h[:, lengths]), (lengths[column_parts], want_lengths)]
+    assert len(rest) == len(want_rest)
+    for x, y in pairs + list(zip(rest, want_rest)):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
 
@@ -313,7 +319,7 @@ class TestCountWalk:
 
     def test_fixed_channel_forms_its_block_on_first_read(self, monkeypatch):
         [(_, _, fold)] = _cell_folds([(6, 4)])
-        channel = build_fixed_deletion_channel(6, 4, fold=fold)
+        channel = build_fixed_deletion_channel(6, 4)
         assert channel.entry_count == block_entries(6, 4)
         for name in ("indptr", "indices", "exact_numerators", "probs"):
             assert name not in vars(channel)
@@ -321,7 +327,7 @@ class TestCountWalk:
         # folded() folds the handed fold, and walks no counts of its own
         with monkeypatch.context() as patch:
             patch.setattr(delcap.channel, "_cell_folds", None)
-            assert_same_csr(channel.folded()._matrix_t, eager_fold(
+            assert_same_csr(channel.folded(fold)._matrix_t, eager_fold(
                 6, block.indptr, block.indices, block.data,
                 np.full(16, 4, dtype=np.int8), np.arange(16))[0])
         assert "indptr" not in vars(channel)
@@ -478,6 +484,18 @@ class TestOrbitChannel:
             assert np.array_equal(index[representatives],
                                   np.arange(len(representatives)))
 
+    @pytest.mark.parametrize("n", [17, 22])
+    def test_label_orbit_index_is_invariant(self, n):
+        index, representatives, _ = _label_orbits(n)
+        values = np.arange(1 << n, dtype=np.int64)
+        reverse = np.zeros_like(values)
+        for k in range(n):  # bit by bit
+            reverse |= ((values >> k) & 1) << (n - 1 - k)
+        for image in (values ^ ((1 << n) - 1), reverse):
+            assert np.array_equal(index[image], index)
+        assert np.array_equal(index[representatives],
+                              np.arange(len(representatives)))
+
     def test_orbit_sizes_and_rows(self):
         for channel in deletion_channels(8):
             reduced = channel.folded()
@@ -550,6 +568,29 @@ class TestOrbitChannel:
             assert_same_store(_stack_folds(L, [(L, R, fold)]), eager_fold(
                 L, block.indptr, block.indices, block.data,
                 np.full(1 << R, R, dtype=np.int8), np.arange(1 << R)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(_cells_to(12))
+    @example((12, 6))
+    def test_one_column_weighs_as_zero_padded(self, cell):
+        # a fixed cell's H holds the one length it folds; the same H
+        # zero-padded to every length, under weights zero elsewhere, gives
+        # the same channel bits
+        L, R = cell
+        store = _stack_folds(L, _cell_folds([cell]))
+        counts_t, h, lengths, column_parts, *rest = store
+        assert h.shape == (len(rest[0]), 1) and lengths.tolist() == [R]
+        padded = np.zeros((len(h), L + 1))
+        padded[:, R] = h[:, 0]
+        w = np.zeros(L + 1)
+        w[R] = 1.0 / math.comb(L, R)
+        want = _weigh(L, (counts_t, padded, np.arange(L + 1, dtype=np.int8),
+                          lengths[column_parts], *rest), w)
+        got = _weigh(L, store, w[lengths])
+        for name in ("_column_weights", "_row_plogp"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes(), name
 
     def test_binomial_counts_are_shared_across_d(self):
         a = build_binomial_deletion_channel(6, 0.2).folded()
@@ -673,7 +714,7 @@ class TestOneMatrix:
 
     def test_c_is_a_view_of_the_one_matrix(self):
         [(_, _, fold)] = _cell_folds([(7, 5)])
-        cell = build_fixed_deletion_channel(7, 5, fold=fold).folded()
+        cell = build_fixed_deletion_channel(7, 5).folded(fold)
         stack = delcap.channel.orbit_stack(
             [build_binomial_deletion_channel(7, d) for d in (0.2, 0.6)])
         for channel in (cell, stack):

@@ -63,7 +63,8 @@ class TestTableCommand:
     def test_each_solved_cell_builds_its_channel_once(self, capsys, tmp_path,
                                                        monkeypatch):
         # bench/tracer.py wraps this name as channel.fixed and reads the
-        # cell from the first two positional arguments
+        # cell from the first two positional arguments; every build runs
+        # in this process, also where a worker solves the deep cells
         build = delcap.tables.build_fixed_deletion_channel
         calls = []
 
@@ -74,17 +75,20 @@ class TestTableCommand:
 
         monkeypatch.setattr(delcap.tables, "build_fixed_deletion_channel",
                             counted)
-        cache = tmp_path / "t.txt"
-        with cpus(1):  # every build in this process
-            code, _, _ = run_cli(capsys, "table", "--l-max", "6",
-                                 "--diag-l-max", "7", "--cache", str(cache))
-        assert code == 0
-        solved = sorted(cell for cell, entry in load_table(cache).entries.items()
-                        if entry.source == "baa")
-        assert len(solved) == 11  # (3, 2) .. (6, 5), then (7, 6)
-        assert sorted((L, R) for L, R, _ in calls) == solved
-        for L, R, entries in calls:
-            assert entries == build(L, R).entry_count
+        for count in (1, 2):
+            calls.clear()
+            cache = tmp_path / f"t{count}.txt"
+            with cpus(count):
+                code, _, _ = run_cli(capsys, "table", "--l-max", "6",
+                                     "--diag-l-max", "7", "--cache", str(cache))
+            assert code == 0
+            solved = sorted(cell for cell, entry
+                            in load_table(cache).entries.items()
+                            if entry.source == "baa")
+            assert len(solved) == 11  # (3, 2) .. (6, 5), then (7, 6)
+            assert sorted((L, R) for L, R, _ in calls) == solved
+            for L, R, entries in calls:
+                assert entries == build(L, R).entry_count
 
     def test_reuses_existing_cache(self, capsys, tmp_path, default_table):
         cache = tmp_path / "t.txt"
@@ -374,7 +378,6 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, *args)
         assert code == 0
         assert err == (f"provenance: table l_max=12 tolerance="
-                       f"{DEFAULT_TOLERANCE!r}; solver_tolerance="
                        f"{DEFAULT_TOLERANCE!r}\n")
         assert "provenance" not in out
         target = tmp_path / "sweep.csv"

@@ -5,6 +5,7 @@ import signal
 import time
 import warnings
 import weakref
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -173,12 +174,19 @@ class TestExtrapolation:
         got = extrapolate_tilde_alpha_lemma4(8, 1, default_table, start=5)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_loggamma_agrees_with_loop(self, default_table):
-        L, D = 12 + 5000, 1
+    # D <= 9 keeps the base gap alpha~(12, D) above zero
+    @pytest.mark.parametrize("L, D", [(13, 9), (12 + 5000, 1),
+                                      (12 + 5000, 9), (12 + 20000, 5)])
+    def test_chain_equals_exact_product(self, default_table, L, D):
         base = alpha_tilde(12, D, default_table, "lower")
-        factor = math.prod(1 - D / j for j in range(13, L + 1))
+        factor = math.prod(1 - Fraction(D, j) for j in range(13, L + 1))
         got = extrapolate_tilde_alpha_lemma4(L, D, default_table)
-        assert got == pytest.approx(base * factor, rel=1e-9)
+        assert got == pytest.approx(float(Fraction(base) * factor),
+                                    rel=1e-15, abs=0.0)
+
+    def test_chain_stays_finite_at_huge_l(self, default_table):
+        got = extrapolate_tilde_alpha_lemma4(10 ** 18, 2, default_table)
+        assert 0.0 < got < alpha_tilde(12, 2, default_table, "lower")
 
     def test_zero_gap_stays_zero(self, default_table):
         assert extrapolate_tilde_alpha_lemma4(20, 0, default_table) == 0.0
@@ -336,21 +344,23 @@ def build(count, l_max=6, diagonal_l_max=8):
 
 def patch_solve(monkeypatch, cell, change):
     """Solve one cell with change(max_iterations) as its iteration cap, in
-    whichever process solves it."""
-    build = delcap.tables.build_fixed_deletion_channel
+    whichever process solves it. Every channel is built before the walk,
+    so the cell being solved is the one folded last."""
+    folded = delcap.channel.FixedDeletionChannel.folded
     solve = delcap.tables.solve_capacity
-    building = []  # the cell whose channel was built last
+    folding = []  # the cell folded last
 
-    def built(L, R, **kwargs):
-        building[:] = [(L, R)]
-        return build(L, R, **kwargs)
+    def recorded(channel, fold=None):
+        folding[:] = [(channel.input_length, channel.output_length)]
+        return folded(channel, fold)
 
     def patched(channel, tolerance, max_iterations):
-        if building == [cell]:
+        if folding == [cell]:
             max_iterations = change(max_iterations)
         return solve(channel, tolerance, max_iterations)
 
-    monkeypatch.setattr(delcap.tables, "build_fixed_deletion_channel", built)
+    monkeypatch.setattr(delcap.channel.FixedDeletionChannel, "folded",
+                        recorded)
     monkeypatch.setattr(delcap.tables, "solve_capacity", patched)
 
 
