@@ -1,12 +1,12 @@
 """Auxiliary deletion channels as sparse discrete memoryless channels.
 
-Two families are built here. The fixed-deletion family removes exactly
-L - R of the L input bits, uniformly over all deletion patterns, so each
-transition probability is the exact rational embedding_count / C(L, L-R).
-The binomial family deletes each bit independently with probability d and
-hands the survivors to the receiver as a string that carries its own
-length, which makes the output alphabet every bit string of length 0..L,
-empty string included.
+Both families built here are one channel, P(y|x) = embedding_count(x,
+y) times a weight of |y|, under two weightings. The fixed-deletion cell
+(L, R) removes exactly L - R bits, uniformly over all deletion patterns:
+it keeps the length-R outputs, each the exact rational embedding_count /
+C(L, L-R). The binomial family deletes each bit independently with
+probability d and hands the survivors on as a string that carries its
+own length: it keeps every length r = 0..L under d^(L-r) (1-d)^r.
 
 Transition rows are stored CSR-style over integer ids; labels stay
 implicit until asked for. Counts come from one walk over the leading
@@ -20,10 +20,9 @@ level reads it, and leaves the rest as halves. Inside the walk and the
 folds, blocks are plain (indptr, indices, data) arrays handed to scipy's
 compiled sparse kernels at their exact sizes; a scipy matrix is made
 only where one leaves them. count_blocks serves a list of cells, such
-as a whole table build, as whole CSR blocks.
-The binomial family's count skeleton is the blocks (L, 0), ..., (L, L)
-side by side, and d only weights block r by d^(L-r) (1-d)^r; the solve
-path never forms it (see below).
+as a whole table build, as whole CSR blocks. A channel's explicit rows
+are the blocks of its lengths side by side (_count_rows); the solve path
+never forms them (see below).
 
 Deleting bits commutes with complementing them and with reversing their
 order, so both families map the orbit of an input under that 4-element
@@ -45,21 +44,22 @@ term table H, which holds one column per folded length. One walk
 representative's length-R row from the leading-0 halves of two count
 blocks of level L - 1, so no cell's own block is built and the last
 level is never completed; the rows that lie in a leading-1 half are
-mirrored from the leading-0 one. A fixed cell is its fold at r = R,
-with one column of H. The binomial store (_binomial_orbit_store) is
-the folds of (L, 0), ..., (L, L) stacked, kept for one L at a time and
-shared by every d, so the skeleton is never built either. orbit_stack
-lays the weights of several d over the store as one stack, which the
-solver solves in one pass.
+mirrored from the leading-0 one. A store (_orbit_store) is the folds
+of the cells (L, r) of a channel's lengths stacked, one column of H per
+length, kept for one (L, lengths) at a time and shared by every
+weighting: a fixed cell is its fold at r = R, and the binomial store
+stacks r = 0..L, so the rows are never built either. orbit_stack lays
+the weights of several d over the store as one stack, which the solver
+solves in one pass.
 
-SparseChannel is an explicit DMC that holds its arrays. Each family is
-a small frozen class of its parameters, FixedDeletionChannel (L, R) and
-BinomialDeletionChannel (L, length weights), that forms its rows as
-cached properties on first read (row, dump_channel, validate, a solve
-on the full channel), counts its entries in closed form, and folds
-itself onto orbits (folded) without reading its rows; a fixed cell
-folds a fold from a walk over many cells where it is given one. Only
-the builders check the parameters against the limits.
+SparseChannel is an explicit DMC that holds its arrays. DeletionChannel
+is a small frozen class of a block length, the output lengths it keeps
+and one weight per length. It forms its rows as cached properties on
+first read (row, dump_channel, validate, a solve on the full channel),
+counts its entries in closed form, and folds itself onto orbits
+(folded) without reading its rows; a table cell folds a fold from a
+walk over many cells where it is given one. Only the builders check the
+parameters against the limits.
 
 Every channel holds one matrix, and the solver's other product runs on
 its transposed view, whose sums take each entry's terms in the same
@@ -72,7 +72,7 @@ holds them as CSR, and its transpose is their CSC view.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -291,45 +291,70 @@ def _skeleton_entries(L):
     return sum(block_entries(L, r) for r in range(L + 1))
 
 
-@dataclass(frozen=True, eq=False)
-class FixedDeletionChannel(_Rows):
-    """Cell (L, R) of the fixed-deletion family. Its rows, the int32 count
-    block (L, R) from a walk of its own, and probs form on first read."""
+@lru_cache(maxsize=1)
+def _count_rows(L, lengths):
+    """The explicit rows of a channel of block length L that keeps the
+    given output lengths: the int32 count blocks (L, r), r in lengths,
+    side by side, as (indptr, indices, counts, output lengths, output
+    values). Outputs are numbered length by length, shortest first, so
+    the stack keeps every row sorted; up to L_CAP every id is under 2^23
+    and every count at most C(22, 11). Only the rows read last are kept."""
+    stacked = sparse.hstack(
+        [block for _, _, block in count_blocks([(L, r) for r in lengths])],
+        format="csr")
+    sizes = [1 << r for r in lengths]
+    return (stacked.indptr, stacked.indices, stacked.data,
+            np.repeat(np.array(lengths, dtype=np.int8), sizes),
+            np.concatenate([np.arange(size) for size in sizes]))
 
-    input_length: int   # L
-    output_length: int  # R
+
+@dataclass(frozen=True, eq=False)
+class DeletionChannel(_Rows):
+    """The deletion channel of block length L that keeps the outputs of
+    the given lengths, P(y|x) = count(x, y) w[|y|] with one weight per
+    kept length. The fixed cell (L, R) keeps R alone under 1 / C(L, R),
+    and its rows are exact rationals too; the binomial channel at d keeps
+    every length r under d^(L-r) (1-d)^r. Its rows (_count_rows) are
+    formed on first read."""
+
+    input_length: int           # L
+    lengths: tuple              # the output lengths kept, ascending
+    length_weights: np.ndarray  # (len(lengths),) weight of each
+
+    _rows = property(lambda self: _count_rows(self.input_length,
+                                              self.lengths))
+    indptr = cached_property(lambda self: self._rows[0])
+    indices = cached_property(lambda self: self._rows[1])
+    output_lengths = cached_property(lambda self: self._rows[3])
+    output_values = cached_property(lambda self: self._rows[4])
+    entry_count = property(lambda self: sum(
+        block_entries(self.input_length, r) for r in self.lengths))
+
+    @property
+    def exact_denominator(self):  # C(L, R) of a fixed cell, else None
+        if len(self.lengths) == 1:
+            return math.comb(self.input_length, self.lengths[0])
+
+    exact_numerators = cached_property(
+        lambda self: self._rows[2] if self.exact_denominator else None)
 
     @cached_property
-    def _block(self):
-        [(_, _, block)] = count_blocks([(self.input_length,
-                                         self.output_length)])
-        return block
-
-    indptr = cached_property(lambda self: self._block.indptr)
-    indices = cached_property(lambda self: self._block.indices)
-    exact_numerators = cached_property(lambda self: self._block.data)
-    probs = cached_property(
-        lambda self: self.exact_numerators / self.exact_denominator)
-    output_lengths = cached_property(lambda self: np.full(
-        1 << self.output_length, self.output_length, dtype=np.int8))
-    output_values = cached_property(
-        lambda self: np.arange(1 << self.output_length, dtype=np.int64))
-
-    exact_denominator = property(lambda self: math.comb(
-        self.input_length, self.input_length - self.output_length))
-    entry_count = property(
-        lambda self: block_entries(self.input_length, self.output_length))
+    def probs(self):
+        if self.exact_denominator:
+            return self.exact_numerators / self.exact_denominator
+        weights = np.repeat(self.length_weights,
+                            [1 << r for r in self.lengths])
+        return self._rows[2] * weights[self.indices]
 
     def folded(self, fold=None):
-        """The cell on its orbits (see the module docstring), uncached (the
-        table solves each cell once): the given fold, which a _cell_folds
-        walk over many cells made, or one from a walk to the cell alone,
-        weighted 1 / C(L, R)."""
-        L, R = self.input_length, self.output_length
-        if fold is None:
-            [(_, _, fold)] = _cell_folds([(L, R)])
-        return _weigh(L, _stack_folds(L, [(L, R, fold)]),
-                      np.array([1.0 / self.exact_denominator]))
+        """The channel on its orbits (see the module docstring) under its
+        length weights: the fold handed in, which a _cell_folds walk over
+        many cells made for a channel of one length, or else the store of
+        its block length and lengths."""
+        L, lengths = self.input_length, self.lengths
+        store = (_orbit_store(L, lengths) if fold is None
+                 else _stack_folds(L, [(L, *lengths, fold)]))
+        return _weigh(L, store, self.length_weights)
 
 
 def build_fixed_deletion_channel(L, R, *, entry_budget=DEFAULT_ENTRY_BUDGET):
@@ -349,49 +374,7 @@ def build_fixed_deletion_channel(L, R, *, entry_budget=DEFAULT_ENTRY_BUDGET):
         raise ResourceLimitError(
             f"fixed channel ({L},{R}) may need {worst} entries,"
             f" budget {entry_budget}")
-    return FixedDeletionChannel(L, R)
-
-
-@cache
-def _binomial_structure(L):
-    """The full count skeleton of the binomial family, which only the
-    rows of a BinomialDeletionChannel read: the int32 count blocks
-    (L, r), r = 0..L, stacked side by side. Length-r outputs take ids
-    from 2^r - 1 on, so the stack keeps every row sorted; up to L_CAP
-    every id is under 2^23 and every count at most C(22, 11)."""
-    stacked = sparse.hstack(
-        [block for _, _, block in count_blocks([(L, r) for r in range(L + 1)])],
-        format="csr")
-    sizes = [1 << r for r in range(L + 1)]
-    return (stacked.indptr, stacked.indices, stacked.data,
-            np.repeat(np.arange(L + 1, dtype=np.int8), sizes),
-            np.concatenate([np.arange(size) for size in sizes]))
-
-
-@dataclass(frozen=True, eq=False)
-class BinomialDeletionChannel(_Rows):
-    """The binomial family at block length L and one d, held as the weight
-    d^(L-r) (1-d)^r of each output length r. Its rows, the count skeleton
-    of L (_binomial_structure) times those weights, are formed on first
-    read."""
-
-    input_length: int           # L
-    length_weights: np.ndarray  # (L + 1,) weight of each output length
-
-    _skeleton = property(lambda self: _binomial_structure(self.input_length))
-    indptr = cached_property(lambda self: self._skeleton[0])
-    indices = cached_property(lambda self: self._skeleton[1])
-    output_lengths = cached_property(lambda self: self._skeleton[3])
-    output_values = cached_property(lambda self: self._skeleton[4])
-    probs = cached_property(lambda self: self._skeleton[2] * (
-        self.length_weights[self.output_lengths[self.indices]]))
-    entry_count = property(lambda self: _skeleton_entries(self.input_length))
-
-    def folded(self):
-        """The channel on its orbits (see the module docstring): the
-        binomial store of L under its length weights."""
-        L = self.input_length
-        return _weigh(L, _binomial_orbit_store(L), self.length_weights)
+    return DeletionChannel(L, (R,), np.array([1.0 / math.comb(L, L - R)]))
 
 
 def build_binomial_deletion_channel(L, d, *,
@@ -416,7 +399,7 @@ def build_binomial_deletion_channel(L, d, *,
         raise ResourceLimitError(
             f"binomial channel L={L} may need {est} entries,"
             f" budget {entry_budget}")
-    return BinomialDeletionChannel(L, np.array(
+    return DeletionChannel(L, tuple(range(L + 1)), np.array(
         [d ** (L - r) * (1.0 - d) ** r for r in range(L + 1)]))
 
 
@@ -636,19 +619,19 @@ def _cell_folds(cells):
         previous = {r: rows}
 
 
-_stores = {}  # L -> its binomial store, for one L at a time
+_stores = {}  # (L, lengths) -> its store, for one key at a time
 
 
-def _binomial_orbit_store(L):
-    """The binomial skeleton of block length L, folded once for every d:
-    the folds of the cells (L, 0), ..., (L, L), stacked. It is kept until
-    a store of another L is asked for, and dropped before that one is
-    folded, so a process that goes through several L holds one store."""
-    if L not in _stores:
+def _orbit_store(L, lengths):
+    """The channels of block length L that keep the given output lengths,
+    folded once for every weighting: the folds of the cells (L, r), r in
+    lengths, stacked. It is kept until another store is asked for, and
+    dropped before that one is folded, so a process holds one store."""
+    if (L, lengths) not in _stores:
         _stores.clear()
-        _stores[L] = _stack_folds(
-            L, _cell_folds([(L, r) for r in range(L + 1)]))
-    return _stores[L]
+        _stores[L, lengths] = _stack_folds(
+            L, _cell_folds([(L, r) for r in lengths]))
+    return _stores[L, lengths]
 
 
 def _weigh(L, folded, w):
@@ -669,18 +652,18 @@ def _weigh(L, folded, w):
 
 
 def orbit_stack(channels):
-    """Fold binomial channels of one block length onto their orbits as
-    one stack: the OrbitChannel that shares their counts C, with one row
-    of column weights (channels × output orbits) and one row of the row
-    term (channels × input orbits) per channel, in the given order.
-    solve_capacity solves the stack in one pass."""
-    L = channels[0].input_length
+    """Fold channels of one block length that keep the same output
+    lengths onto their orbits as one stack: the OrbitChannel that shares
+    their counts C, with one row of column weights (channels × output
+    orbits) and one row of the row term (channels × input orbits) per
+    channel, in the given order. solve_capacity solves the stack in one
+    pass."""
+    L, lengths = channels[0].input_length, channels[0].lengths
     for channel in channels:
-        if (not isinstance(channel, BinomialDeletionChannel)
-                or channel.input_length != L):
-            raise ParameterError(
-                "a stack takes binomial channels of one block length")
-    return _weigh(L, _binomial_orbit_store(L),
+        if (channel.input_length, channel.lengths) != (L, lengths):
+            raise ParameterError("a stack takes channels of one block"
+                                 " length that keep the same lengths")
+    return _weigh(L, _orbit_store(L, lengths),
                   np.array([channel.length_weights for channel in channels]))
 
 

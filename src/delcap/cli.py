@@ -131,39 +131,53 @@ def build_parser():
     return parser
 
 
-def _gate_long(config, value, what):
-    if value > LONG_RUN_LIMIT and not config.allow_long:
+def _gate_long(config, value, what, held=-1):
+    """Refuse a depth past the quick-run limit without --allow-long. A
+    table depth up to `held`, whose rows the --cache file holds, solves
+    nothing and passes; a binomial block length has no such depth."""
+    if value > max(LONG_RUN_LIMIT, held) and not config.allow_long:
         raise ParameterError(
             f"{what}={value} exceeds the quick-run limit {LONG_RUN_LIMIT};"
             " pass --allow-long to proceed")
 
 
 def _open_table(config):
-    """The context table and the depth the command works to.
+    """The context table, the depth the command works to, and the depth
+    the table holds.
 
     The table is the --cache file when it exists, else a fresh table at
     --l-max or DEFAULT_L_MAX. The depth is --l-max when given, else the
-    table's own depth.
+    table's own depth. The table holds the rows 0..L of the largest L
+    whose every cell the file has at the table's tolerance or tighter,
+    so raising the table to L solves no cell; a fresh table holds
+    nothing, -1.
     """
     if config.l_max is not None and config.l_max < 0:
         raise ParameterError("--l-max must be non-negative")
     kwargs = dict(tolerance=config.solver_tolerance,
                   max_iterations=config.max_iterations,
                   entry_budget=config.entry_budget)
+    held = -1
     if config.cache_path and os.path.exists(config.cache_path):
         table = load_table(config.cache_path, **kwargs)
+        while all((held + 1, R) in table.entries
+                  and table.entries[(held + 1, R)].tolerance
+                  <= table.tolerance for R in range(held + 2)):
+            held += 1
     else:
         table = CoefficientTable(
             l_max=DEFAULT_L_MAX if config.l_max is None else config.l_max,
             **kwargs)
-    return table, table.l_max if config.l_max is None else config.l_max
+    return (table, table.l_max if config.l_max is None else config.l_max,
+            held)
 
 
-def _reserve(config, table, depth, what="l_max"):
-    """Gate a depth the command may solve cells at, then raise the table
-    to it. Levels that resolve_l_max reads from the cache solve nothing,
-    so they are never gated."""
-    _gate_long(config, depth, what)
+def _reserve(config, table, held, depth, what="l_max"):
+    """Gate a depth the command may solve cells at, unless the table
+    holds it (_open_table), then raise the table to it. Levels that
+    resolve_l_max reads from the cache solve nothing, so they are never
+    gated."""
+    _gate_long(config, depth, what, held)
     table.l_max = max(table.l_max, depth)
 
 
@@ -173,13 +187,13 @@ def _family_l_max(config, table, kind, **anchor):
     return resolve_l_max(table, kind, **anchor)
 
 
-def _c2_star_l_max(config, table, R):
+def _c2_star_l_max(config, table, held, R):
     """The c2_star depth at an asked-for R, in `bound`, `sweep` and
     `limits` alike: --l-max, else resolved on the table raised to R+1,
     so column R reaches its first solved cell (R+1, R) however shallow
     the cache is."""
     if config.l_max is None:
-        _reserve(config, table, R + 1, "L")
+        _reserve(config, table, held, R + 1, "L")
     return _family_l_max(config, table, "c2_star", R=R)
 
 
@@ -219,8 +233,8 @@ def _run_table(config):
     if diag < l_max:
         raise ParameterError("--diag-l-max must be at least --l-max")
     _gate_long(config, diag, "l_max")
-    table, _ = _open_table(config)
-    _reserve(config, table, l_max)
+    table, _, held = _open_table(config)
+    _reserve(config, table, held, l_max)
     populate_table(table, diagonal_l_max=max(diag, table.l_max))
     if config.cache_path:
         save_table(table, config.cache_path)
@@ -228,7 +242,7 @@ def _run_table(config):
     return 0
 
 
-def _plan_specs(config, table, depth):
+def _plan_specs(config, table, depth, held):
     """The BoundSpecs that --kind stands for, with the table reserved to
     the depth they read.
 
@@ -249,7 +263,7 @@ def _plan_specs(config, table, depth):
             kind = "lower_opt" if config.policy == "optimized" else "lower_iud"
         spec = BoundSpec(kind, {"L": config.L})
         if kind == "c3":
-            _reserve(config, table, config.L)
+            _reserve(config, table, held, config.L)
         else:
             _gate_long(config, config.L, "L")
         return [spec]
@@ -266,12 +280,13 @@ def _plan_specs(config, table, depth):
         specs = [family("c1_star", "D", D, **tail) for D in counts]
     elif kind == "c2_star":
         specs = [BoundSpec("c2_star", {
-            "R": config.R, "l_max": _c2_star_l_max(config, table, config.R)})]
+            "R": config.R,
+            "l_max": _c2_star_l_max(config, table, held, config.R)})]
     else:
         specs = ([family("c1_star", "D", D) for D in range(depth + 1)]
                  + [family("c2_star", "R", R) for R in range(depth + 1)]
                  + [BoundSpec("c3", {"L": L}) for L in range(1, depth + 1)])
-    _reserve(config, table, depth)
+    _reserve(config, table, held, depth)
     if kind == "best" and config.L is not None:
         _gate_long(config, config.L, "L")
         specs.append(BoundSpec("c4", {"L": config.L}))
@@ -284,8 +299,8 @@ def _run_bound(config):
     if config.kind == "c1_star" and config.D is None:
         raise ParameterError(
             "--kind c1_star needs --D here; only sweeps may omit it")
-    table, depth = _open_table(config)
-    (spec,) = _plan_specs(config, table, depth)
+    table, depth, held = _open_table(config)
+    (spec,) = _plan_specs(config, table, depth, held)
     value = evaluate_bound(spec, config.d, table)
     rows = [(spec.kind, spec.parameters, config.d, value, spec.side,
              table.tolerance)]
@@ -325,8 +340,8 @@ def _pointwise_rows(config, specs, grid, table):
 
 def _run_sweep(config):
     grid = d_grid(*(config.grid if config.grid is not None else DEFAULT_GRID))
-    table, depth = _open_table(config)
-    specs = _plan_specs(config, table, depth)
+    table, depth, held = _open_table(config)
+    specs = _plan_specs(config, table, depth, held)
     if len(specs) > 1:
         rows = _pointwise_rows(config, specs, grid, table)
         provenance = sweep_provenance(table)
@@ -344,22 +359,23 @@ def _run_sweep(config):
 def _run_limits(config):
     if config.L is None and config.R is None:
         raise ParameterError("limits needs --L and/or --R")
-    table, depth = _open_table(config)
+    table, depth, held = _open_table(config)
     tol = table.tolerance
     rows = []
     if config.L is not None:
-        _gate_long(config, config.L, "L")
+        _gate_long(config, config.L, "L", held)
     if config.R is not None:
         # resolved before the raise to --L, which would move it
-        lm = _c2_star_l_max(config, table, config.R)
-        _reserve(config, table, config.R + 1, "L")  # the small-d slope's cell
-        _reserve(config, table, depth)
+        lm = _c2_star_l_max(config, table, held, config.R)
+        # the small-d slope's cell
+        _reserve(config, table, held, config.R + 1, "L")
+        _reserve(config, table, held, depth)
         rows += [("limit_small_d_c2", {"R": config.R}, 0.0,
                   limit_small_d_c2(config.R, table), "lower", tol),
                  ("limit_large_d_c2", {"R": config.R, "l_max": lm}, 1.0,
                   limit_large_d_c2(config.R, lm, table), "upper", tol)]
     if config.L is not None:
-        _reserve(config, table, config.L, "L")
+        _reserve(config, table, held, config.L, "L")
         rows.insert(0, ("limit_small_d_c3", {"L": config.L}, 0.0,
                         limit_small_d_c3(config.L, table), "lower", tol))
     _write_output(config, _csv(rows))
@@ -367,8 +383,8 @@ def _run_limits(config):
 
 
 def _run_verify(config):
-    table, depth = _open_table(config)
-    _reserve(config, table, depth)
+    table, depth, held = _open_table(config)
+    _reserve(config, table, held, depth)
     populate_table(table, diagonal_l_max=table.l_max)
     reports = verify_lemma_suite(table)
     _write_output(config,

@@ -12,7 +12,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--run-long", action="store_true", default=False,
         help="run the long reproduction jobs (deep tables, L=17 and L=18;"
-             " all seven take 73–84 s at about 2.4 GB on 2 cores)")
+             " all seven take 55–63 s at 2.0–2.2 GB on 2 cores)")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -18,10 +18,9 @@ from delcap import (DEFAULT_ENTRY_BUDGET, BitString, ParameterError,
                     build_fixed_deletion_channel, dump_channel,
                     embedding_count)
 from delcap.baa import _divergences
-from delcap.channel import (_binomial_orbit_store, _binomial_structure,
-                            _cell_folds, _fold_length, _label_orbits,
-                            _stack_folds, _weigh, block_entries,
-                            count_blocks)
+from delcap.channel import (_cell_folds, _count_rows, _fold_length,
+                            _label_orbits, _orbit_store, _stack_folds,
+                            _weigh, block_entries, count_blocks)
 
 from reference_values import FIXED_3_2_FRACTIONS
 
@@ -151,7 +150,7 @@ def oracle_level(l):
 def oracle_structure(L):
     """The binomial skeleton of L from the reference blocks: (indptr,
     indices, counts, output lengths, output values), as
-    _binomial_structure lays it out."""
+    _count_rows lays it out."""
     stacked = sparse.hstack(oracle_level(L), format="csr")
     sizes = [1 << r for r in range(L + 1)]
     return (stacked.indptr, stacked.indices, stacked.data,
@@ -383,7 +382,8 @@ class TestBinomialChannel:
 
     def test_skeleton_matches_reference_counts(self):
         for L in range(7):
-            indptr, cols, counts, lengths, values = _binomial_structure(L)
+            indptr, cols, counts, lengths, values = _count_rows(
+                L, tuple(range(L + 1)))
             outputs = [BitString(int(v), int(n))
                        for n, v in zip(lengths, values)]
             reference = np.array(
@@ -394,7 +394,8 @@ class TestBinomialChannel:
     def test_table_cell_is_skeleton_block(self):
         # fixed cell (L, R) is block R of the skeleton, ids shifted by 2^R - 1
         for L in range(1, 10):
-            indptr, cols, counts, lengths, _ = _binomial_structure(L)
+            indptr, cols, counts, lengths, _ = _count_rows(
+                L, tuple(range(L + 1)))
             rows = np.repeat(np.arange(1 << L), np.diff(indptr))
             for R in range(L + 1):
                 channel = build_fixed_deletion_channel(L, R)
@@ -428,11 +429,22 @@ class TestBinomialChannel:
         for name in ("indptr", "indices", "probs", "output_lengths",
                      "output_values"):
             assert name not in vars(channel)
-        indptr, cols, _, lengths, values = _binomial_structure(7)
+        indptr, cols, _, lengths, values = _count_rows(7, tuple(range(8)))
         assert channel.output_values is values
         assert channel.indptr is indptr and channel.indices is cols
         assert channel.output_lengths is lengths
         assert channel.entry_count == len(cols)
+
+    def test_rows_of_one_block_length_at_a_time(self):
+        # the rows read last are kept, for the next channel of the same
+        # block length and lengths, and dropped once others are read
+        for build, first, then in (
+                (build_binomial_deletion_channel, (6, 0.3), (7, 0.3)),
+                (build_fixed_deletion_channel, (6, 4), (7, 5))):
+            held = weakref.ref(build(*first).indices)
+            assert held() is build(*first).indices
+            assert build(*then).indices is not None
+            assert held() is None, build
 
     def test_budget_counts_the_level_below_and_half_the_skeleton(self):
         # level-9 blocks (38854 entries) plus the rows with a leading 0,
@@ -600,8 +612,8 @@ class TestOrbitChannel:
         assert not np.array_equal(a._column_weights, b._column_weights)
 
     def test_one_store_is_held_at_a_time(self, monkeypatch):
-        _binomial_orbit_store(3)
-        held = weakref.ref(_binomial_orbit_store(4)[0])
+        _orbit_store(3, tuple(range(4)))
+        held = weakref.ref(_orbit_store(4, tuple(range(5)))[0])
         walk = delcap.channel._cell_folds
         alive = []
 
@@ -610,10 +622,10 @@ class TestOrbitChannel:
             return walk(cells)
 
         monkeypatch.setattr(delcap.channel, "_cell_folds", checked)
-        _binomial_orbit_store(5)
+        _orbit_store(5, tuple(range(6)))
         # the store of L=4 is gone before the one of L=5 is folded
         assert alive == [False]
-        _binomial_orbit_store(5)
+        _orbit_store(5, tuple(range(6)))
         assert alive == [False]  # and L=5 is kept for the next d
 
     def test_c4_fold_leaves_full_probabilities_unformed(self, monkeypatch):

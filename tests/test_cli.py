@@ -12,8 +12,9 @@ from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
                     TableEntry, bound_c2_star, bound_c3, bound_c4,
                     compose_best_upper, d_grid, dump_channel, load_table,
                     lower_bound, populate_table, resolve_l_max, save_table)
-from delcap.channel import _binomial_structure
+from delcap.channel import _count_rows
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, build_parser, main
+from delcap.tables import closed_form_f
 
 from conftest import best_specs, cpus
 from reference_values import F_REFERENCE, bracket_matches_reference
@@ -195,6 +196,50 @@ class TestBoundCommand:
         assert code == 1
         assert "--allow-long" in err
 
+    def test_quick_run_gate_passes_the_rows_a_cache_holds(
+            self, capsys, tmp_path, monkeypatch):
+        # full rows to 15, one past the quick-run limit, with synthetic
+        # brackets: reading them solves nothing and needs no flag, while
+        # every depth or block length the file does not hold at the
+        # asked tolerance still does
+        table = CoefficientTable(l_max=15)
+        for L in range(16):
+            for R in range(L + 1):
+                closed = closed_form_f(L, R)
+                table.entries[(L, R)] = (
+                    TableEntry(closed, closed, 0.0, "closed_form")
+                    if closed is not None else
+                    TableEntry(R - 0.5, R - 0.496, DEFAULT_TOLERANCE, "baa"))
+        cache = str(tmp_path / "rows15.txt")
+        save_table(table, cache)
+
+        def unsolvable(*args, **kwargs):
+            raise AssertionError("a cell or block was solved")
+
+        monkeypatch.setattr(delcap.tables, "solve_capacity", unsolvable)
+        monkeypatch.setattr(delcap.bounds, "solve_capacity", unsolvable)
+        d = ("--d", "0.5")
+        for args, codes in (
+                (("sweep", "--kind", "best", "--d-grid", "0.3:0.6:0.3"), {0}),
+                (("bound", "--kind", "c3", "--L", "15", *d), {0}),
+                (("bound", "--kind", "c1_star", "--D", "1", *d), {0}),
+                (("limits", "--L", "15"), {0}),
+                (("verify",), {0, 2})):  # the brackets are made up
+            code, out, err = run_cli(capsys, *args, "--cache", cache)
+            assert code in codes and out, (args, err)
+            assert "quick-run" not in err, args
+        for args in (("bound", "--kind", "c3", "--L", "16", *d, "--cache"),
+                     ("bound", "--kind", "c1_star", "--D", "1", *d,
+                      "--l-max", "16", "--cache"),
+                     ("sweep", "--kind", "best", "--l-max", "16", "--cache"),
+                     ("bound", "--kind", "c4", "--L", "15", *d, "--cache"),
+                     ("verify", "--tol", "0.001", "--cache")):
+            code, out, err = run_cli(capsys, *args, cache)
+            assert (code, out) == (1, "") and "quick-run" in err, args
+        assert run_cli(capsys, "bound", "--kind", "c3", "--L", "15", *d) == (
+            1, "", "error: l_max=15 exceeds the quick-run limit 14; pass"
+                   " --allow-long to proceed\n")
+
     def test_best_is_sweep_only(self, capsys):
         assert run_cli(capsys, "bound", "--kind", "best", "--d", "0.4") == (
             1, "", "error: --kind best is available in sweep only\n")
@@ -264,14 +309,14 @@ class TestSweepCommand:
 
         monkeypatch.setattr(delcap.bounds, "build_binomial_deletion_channel",
                             counted)
-        skeletons = _binomial_structure.cache_info().currsize
+        rows = _count_rows.cache_info()
         code, out, _ = run_cli(capsys, "sweep", "--kind", "c4", "--L", "6",
                                "--d-grid", "0.1:0.5:0.1")
         assert code == 0
         ds = [float(row[2]) for row in rows_of(out)]
         assert [args for args, _ in calls] == [(6, d) for d in ds]
         assert len(ds) == 5
-        assert _binomial_structure.cache_info().currsize == skeletons
+        assert _count_rows.cache_info() == rows  # no rows read
         for _, channel in calls:
             assert channel.entry_count == 1394  # closed form at L=6
             assert "indptr" not in vars(channel)

@@ -100,7 +100,7 @@ def test_l17_store_peak_memory():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     argv = [sys.executable, "-c", "from delcap.channel import"
-            " _binomial_orbit_store; _binomial_orbit_store(17)"]
+            " _orbit_store; _orbit_store(17, tuple(range(18)))"]
     _, status, usage = os.wait4(
         os.spawnve(os.P_NOWAIT, sys.executable, argv, env), 0)
     assert os.waitstatus_to_exitcode(status) == 0

@@ -346,12 +346,12 @@ def patch_solve(monkeypatch, cell, change):
     """Solve one cell with change(max_iterations) as its iteration cap, in
     whichever process solves it. Every channel is built before the walk,
     so the cell being solved is the one folded last."""
-    folded = delcap.channel.FixedDeletionChannel.folded
+    folded = delcap.channel.DeletionChannel.folded
     solve = delcap.tables.solve_capacity
     folding = []  # the cell folded last
 
     def recorded(channel, fold=None):
-        folding[:] = [(channel.input_length, channel.output_length)]
+        folding[:] = [(channel.input_length, *channel.lengths)]
         return folded(channel, fold)
 
     def patched(channel, tolerance, max_iterations):
@@ -359,7 +359,7 @@ def patch_solve(monkeypatch, cell, change):
             max_iterations = change(max_iterations)
         return solve(channel, tolerance, max_iterations)
 
-    monkeypatch.setattr(delcap.channel.FixedDeletionChannel, "folded",
+    monkeypatch.setattr(delcap.channel.DeletionChannel, "folded",
                         recorded)
     monkeypatch.setattr(delcap.tables, "solve_capacity", patched)
 
