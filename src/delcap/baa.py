@@ -45,7 +45,10 @@ product per direction, a matrix with one column per law, whose columns
 sum in the same order as the product with one law. A channel leaves the
 stack when its bracket closes or its iterations run out; the last one
 open runs with the single-law products. Laws never pass from one
-channel to another, so no channel's result depends on the others.
+channel to another, so no channel's result depends on the others. The
+products run on the channel's plain compressed arrays (channel.Compressed)
+through the compiled kernels and arguments of scipy's own sparse
+products, without importing scipy.sparse, so they give its bits.
 
 A large stack is also split across processes. With k = min(CPUs
 available to the process, channels), the channels fall into k

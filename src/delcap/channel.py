@@ -18,11 +18,13 @@ reversed, each column c read as 2^r - 1 - c. The walk merges only the
 leading-0 halves, mirrors a half into a whole block only where a later
 level reads it, and leaves the rest as halves. Inside the walk and the
 folds, blocks are plain (indptr, indices, data) arrays handed to scipy's
-compiled sparse kernels at their exact sizes; a scipy matrix is made
-only where one leaves them. count_blocks serves a list of cells, such
-as a whole table build, as whole CSR blocks. A channel's explicit rows
-are the blocks of its lengths side by side (_count_rows); the solve path
-never forms them (see below).
+compiled sparse kernels at their exact sizes. The kernels' extension is
+loaded alone (_load_kernels), so no command imports scipy.sparse, which
+costs more start-up than numpy. count_blocks serves a list of cells,
+such as a whole table build, as whole scipy CSR blocks; it and a
+channel's explicit rows, the blocks of its lengths side by side
+(_count_rows), import scipy.sparse where they run. The solve path never
+forms them (see below).
 
 Deleting bits commutes with complementing them and with reversing their
 order, so both families map the orbit of an input under that 4-element
@@ -61,24 +63,26 @@ counts its entries in closed form, and folds itself onto orbits
 walk over many cells where it is given one. Only the builders check the
 parameters against the limits.
 
-Every channel holds one matrix, and the solver's other product runs on
-its transposed view, whose sums take each entry's terms in the same
-order as a copy would. A folded channel holds C^T as CSR, one row per
-output orbit, appended to in place as the walk hands over each length's
-part (_stack_folds), and C is its CSC view. A channel of explicit rows
-holds them as CSR, and its transpose is their CSC view.
+Every channel holds one matrix, a Compressed record of plain arrays
+whose products with dense vectors and blocks run the kernels scipy's
+own products run, and the solver's other product runs on its transposed
+view, whose sums take each entry's terms in the same order as a copy
+would. A folded channel holds C^T as CSR, one row per output orbit,
+appended to in place as the walk hands over each length's part
+(_stack_folds), and C is its CSC view. A channel of explicit rows holds
+them as CSR, and its transpose is their CSC view.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import (csc_matvec, csr_matvec, csr_plus_csr,
-                                        csr_row_index, csr_sum_duplicates,
-                                        csr_tocsc)
 
 from .combinatorics import BitString
 from .errors import ParameterError, ResourceLimitError
@@ -86,6 +90,94 @@ from .errors import ParameterError, ResourceLimitError
 # block lengths past this are refused outright, whatever the entry budget
 L_CAP = 22
 DEFAULT_ENTRY_BUDGET = 1 << 28
+
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+def _load_kernels():
+    """scipy's compiled sparse kernels, without importing scipy.sparse,
+    which costs a command about 0.13 s and 22 MB of start-up: the
+    extension file is found without importing scipy and loaded alone,
+    under its own name. A single-phase extension enters itself in
+    sys.modules; it is taken out again, so a later import of scipy.sparse
+    binds its own module, which shares these kernels. Where scipy.sparse
+    is imported already, or the file is not where scipy keeps it, the
+    import serves them."""
+    package = None if _KERNELS in sys.modules else importlib.util.find_spec(
+        "scipy")
+    for location in getattr(package, "submodule_search_locations", None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_KERNELS, path)
+                kernels = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(kernels)
+                sys.modules.pop(_KERNELS, None)
+                return kernels
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
+_kernels = _load_kernels()
+csc_matvec = _kernels.csc_matvec
+csr_matvec = _kernels.csr_matvec
+csr_plus_csr = _kernels.csr_plus_csr
+csr_row_index = _kernels.csr_row_index
+csr_sum_duplicates = _kernels.csr_sum_duplicates
+csr_tocsc = _kernels.csr_tocsc
+# format -> (the kernel of a product with one vector, with a block of them)
+_PRODUCTS = {"csr": (csr_matvec, _kernels.csr_matvecs),
+             "csc": (csc_matvec, _kernels.csc_matvecs)}
+
+
+@dataclass(frozen=True, eq=False)
+class Compressed:
+    """A sparse matrix as the plain compressed arrays the kernels take:
+    CSR, row i's entries at indptr[i]:indptr[i + 1], or CSC, column j's.
+    .T is the other format on the same arrays. A product with a dense
+    vector, or with a block of them as columns, runs the kernel that a
+    scipy array's product runs, with the same arguments and dtypes, so it
+    gives the same bits."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+    format: str = "csr"
+
+    def __post_init__(self):
+        # the kernels pick their code by indptr's dtype and would cast the
+        # indices to it on every call
+        if self.indptr.dtype != self.indices.dtype:
+            raise ValueError(f"indptr is {self.indptr.dtype}, indices"
+                             f" {self.indices.dtype}; they need one dtype")
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+    @property
+    def T(self):
+        return Compressed(self.data, self.indices, self.indptr,
+                          self.shape[::-1],
+                          "csc" if self.format == "csr" else "csr")
+
+    def __matmul__(self, x):
+        """scipy's _matmul_vector on a vector or a one-column block, else
+        its _matmul_multivector on x.ravel(), into fresh zeros."""
+        rows, columns = self.shape
+        if x.shape[0] != columns:
+            raise ValueError(f"a {self.shape} matrix times {x.shape}")
+        out = np.zeros((rows,) + x.shape[1:],
+                       dtype=np.result_type(self.data, x))
+        vector, block = _PRODUCTS[self.format]
+        if x.ndim == 1 or x.shape[1] == 1:
+            vector(rows, columns, self.indptr, self.indices, self.data,
+                   x.ravel(), out.ravel())
+        else:
+            block(rows, columns, x.shape[1], self.indptr, self.indices,
+                  self.data, x.ravel(), out.ravel())
+        return out
 
 
 class _Rows:
@@ -132,9 +224,11 @@ class _Rows:
 
     @cached_property
     def _matrix(self):
-        return sparse.csr_array(
-            (self.probs, self.indices, self.indptr),
-            shape=(self.input_count, self.output_count))
+        # one index dtype for the kernels, the wider, as a scipy array takes
+        dtype = np.promote_types(self.indices.dtype, self.indptr.dtype)
+        return Compressed(self.probs, self.indices.astype(dtype, copy=False),
+                          self.indptr.astype(dtype, copy=False),
+                          (self.input_count, self.output_count))
 
     @cached_property
     def _matrix_t(self):
@@ -273,11 +367,11 @@ def count_blocks(cells):
     the others stay halves, and a cell's half is completed as it is
     yielded.
     """
+    from scipy.sparse import csr_array
     for l, r, (indptr, indices, data) in _walk(cells):
         if len(indptr) <= 1 << l:  # a half
             indptr, indices, data = _complete((indptr, indices, data), r)
-        yield l, r, sparse.csr_array((data, indices, indptr),
-                                     shape=(1 << l, 1 << r))
+        yield l, r, csr_array((data, indices, indptr), shape=(1 << l, 1 << r))
 
 
 def block_entries(L, r):
@@ -299,7 +393,8 @@ def _count_rows(L, lengths):
     values). Outputs are numbered length by length, shortest first, so
     the stack keeps every row sorted; up to L_CAP every id is under 2^23
     and every count at most C(22, 11). Only the rows read last are kept."""
-    stacked = sparse.hstack(
+    from scipy.sparse import hstack
+    stacked = hstack(
         [block for _, _, block in count_blocks([(L, r) for r in lengths])],
         format="csr")
     sizes = [1 << r for r in lengths]
@@ -445,7 +540,7 @@ class OrbitChannel:
     sums each entry's terms in the same order as a CSR copy of C would.
     """
 
-    _matrix_t: sparse.csr_array  # C^T, exact counts in float64
+    _matrix_t: Compressed        # C^T as CSR, exact counts in float64
     _column_weights: np.ndarray  # ([channels,] output orbits) w
     _row_plogp: np.ndarray       # ([channels,] input orbits) row term, nats
     representatives: np.ndarray  # (input orbits,) smallest member of each
@@ -504,8 +599,8 @@ def _fold_length(r, rows):
     csc_matvec(inputs, orbits, part_indptr, part_indices, part_data,
                np.log(sizes), by_size)
     h += by_size
-    return sparse.csr_array((part_data, part_indices, part_indptr),
-                            shape=(orbits, inputs)), h, sizes
+    return Compressed(part_data, part_indices, part_indptr,
+                      (orbits, inputs)), h, sizes
 
 
 def _append(stacked, values):
@@ -542,9 +637,11 @@ def _stack_folds(L, folds):
     indptr = np.concatenate(indptr)
     if indptr[-1] <= np.iinfo(np.int32).max:  # the indices' dtype
         indptr = indptr.astype(np.int32)
+    else:  # as scipy would, both in int64
+        indices = indices.astype(np.int64)
     output_sizes = np.concatenate(sizes)
-    matrix_t = sparse.csr_array((data, indices, indptr), shape=(
-        len(output_sizes), len(representatives)))
+    matrix_t = Compressed(data, indices, indptr,
+                          (len(output_sizes), len(representatives)))
     column_parts = np.repeat(np.arange(len(lengths), dtype=np.int8),
                              [len(s) for s in sizes])
     return (matrix_t, np.column_stack(columns),

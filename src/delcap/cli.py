@@ -10,6 +10,7 @@ identical runs produce identical bytes.
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
@@ -61,7 +62,10 @@ def _add_bound_flags(parser):
                              "optimized or uniform")
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process: parse_args leaves
+    it as it was."""
     parser = argparse.ArgumentParser(
         prog="delcap",
         description="Certified capacity bounds for the iid binary "
@@ -160,9 +164,7 @@ def _open_table(config):
     held = -1
     if config.cache_path and os.path.exists(config.cache_path):
         table = load_table(config.cache_path, **kwargs)
-        while all((held + 1, R) in table.entries
-                  and table.entries[(held + 1, R)].tolerance
-                  <= table.tolerance for R in range(held + 2)):
+        while all(_holds(table, (held + 1, R)) for R in range(held + 2)):
             held += 1
     else:
         table = CoefficientTable(
@@ -170,6 +172,13 @@ def _open_table(config):
             **kwargs)
     return (table, table.l_max if config.l_max is None else config.l_max,
             held)
+
+
+def _holds(table, cell):
+    """Whether the table has cell at its tolerance or tighter, so raising
+    the table over it solves nothing."""
+    entry = table.entries.get(cell)
+    return entry is not None and entry.tolerance <= table.tolerance
 
 
 def _reserve(config, table, held, depth, what="l_max"):
@@ -232,10 +241,16 @@ def _run_table(config):
         diag = l_max
     if diag < l_max:
         raise ParameterError("--diag-l-max must be at least --l-max")
-    _gate_long(config, diag, "l_max")
     table, _, held = _open_table(config)
-    _reserve(config, table, held, l_max)
-    populate_table(table, diagonal_l_max=max(diag, table.l_max))
+    # a cache's full rows past --l-max are filled at --tol as well
+    _reserve(config, table, held, max(l_max, table.l_max))
+    diag = max(diag, table.l_max)
+    # the diagonal past the held rows solves only the cells the cache
+    # lacks at --tol; the deepest of them is gated
+    _gate_long(config, max((L for L in range(held + 1, diag + 1)
+                            if not _holds(table, (L, L - 1))), default=-1),
+               "l_max")
+    populate_table(table, diagonal_l_max=diag)
     if config.cache_path:
         save_table(table, config.cache_path)
     _write_output(config, serialize_table(table))

@@ -12,11 +12,16 @@ short numpy calls and threads queue for the interpreter lock between
 them: on 2 vCPUs the 18 cells of at least 10,000 entries in
 `table --l-max 13 --diag-l-max 14`, folded beforehand, solved in a
 median 0.16 s on a two-thread pool against 0.13 s serially (slower in 6
-of 6 alternating runs), while with one forked worker the benchmark of
-that command plus `verify` (`table_build`) read 0.42 s against 0.64 s
-serially (medians of 10 alternating pairs).
+of 6 alternating runs), while with one forked worker that command plus
+`verify` (the benchmark's `table_build`) took a median 0.15 s against
+0.22 s serially (10 alternating pairs of fresh processes, faster in 10).
+
+multiprocessing is imported with this module, at start-up, and not where
+a command first forks: nothing else a command imports loads the modules
+it needs, so there it would add 5-7 ms to the command's own run.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -33,7 +38,6 @@ def cpu_count():
 def _fork_context():
     """The fork start method, or None where this process may not fork a
     worker: no fork on the platform, or a daemonic process."""
-    import multiprocessing
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return None

@@ -3,6 +3,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from scipy import sparse
 
 import delcap.baa
 from delcap import BoundSpec, build_default_table, resolve_l_max, save_table
@@ -81,3 +82,11 @@ def best_specs(table):
             + [BoundSpec("c2_star", {"R": R, "l_max": resolve_l_max(
                 table, "c2_star", R=R)}) for R in range(table.l_max + 1)]
             + [BoundSpec("c3", {"L": L}) for L in range(1, table.l_max + 1)])
+
+
+def as_scipy(matrix):
+    """A channel's compressed matrix as the scipy array of its format, on
+    the same arrays, for the scipy oracles."""
+    array = sparse.csr_array if matrix.format == "csr" else sparse.csc_array
+    return array((matrix.data, matrix.indices, matrix.indptr),
+                 shape=matrix.shape)

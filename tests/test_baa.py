@@ -20,7 +20,7 @@ from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
                     solve_capacity)
 from delcap.channel import SparseChannel, orbit_stack
 
-from conftest import cpus, package_env
+from conftest import as_scipy, cpus, package_env
 from reference_values import F_REFERENCE, bracket_matches_reference
 
 
@@ -524,7 +524,7 @@ class ExplicitCsr:
         # C from the one CSR matrix the channel holds, not from its view
         held = (channel._matrix if channel._matrix.format == "csr"
                 else channel._matrix_t.T)
-        c = sparse.csr_array(held)
+        c = sparse.csr_array(as_scipy(held))
         return cls(c, sparse.csr_array(c.T), channel._column_weights,
                    channel._row_plogp, channel.input_sizes)
 

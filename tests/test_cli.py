@@ -224,6 +224,7 @@ class TestBoundCommand:
                 (("bound", "--kind", "c3", "--L", "15", *d), {0}),
                 (("bound", "--kind", "c1_star", "--D", "1", *d), {0}),
                 (("limits", "--L", "15"), {0}),
+                (("table", "--l-max", "15"), {0}),
                 (("verify",), {0, 2})):  # the brackets are made up
             code, out, err = run_cli(capsys, *args, "--cache", cache)
             assert code in codes and out, (args, err)
@@ -233,6 +234,10 @@ class TestBoundCommand:
                       "--l-max", "16", "--cache"),
                      ("sweep", "--kind", "best", "--l-max", "16", "--cache"),
                      ("bound", "--kind", "c4", "--L", "15", *d, "--cache"),
+                     ("table", "--l-max", "16", "--cache"),
+                     ("table", "--l-max", "15", "--diag-l-max", "16",
+                      "--cache"),
+                     ("table", "--tol", "0.001", "--cache"),
                      ("verify", "--tol", "0.001", "--cache")):
             code, out, err = run_cli(capsys, *args, cache)
             assert (code, out) == (1, "") and "quick-run" in err, args
