@@ -411,6 +411,19 @@ def evaluate_bound(spec, d, table):
     return _shaped(values, scalar)
 
 
+def cells_read(spec):
+    """The table cells (L, R) spec reads: c1_star's diagonal and c2_star's
+    column to their l_max, c3's row; c4, lower and erasure read none."""
+    p = spec.parameters
+    if spec.kind == "c1_star":
+        return [(L, L - p["D"]) for L in range(p["D"], p["l_max"] + 1)]
+    if spec.kind == "c2_star":
+        return [(L, p["R"]) for L in range(p["R"], p["l_max"] + 1)]
+    if spec.kind == "c3":
+        return [(p["L"], R) for R in range(p["L"] + 1)]
+    return []
+
+
 def compose_best_upper(d, specs, table):
     """Pointwise best upper bound, with the erasure bound 1 - d always
     in the running. Returns (value, winning spec) at one d, or (array of

@@ -14,14 +14,16 @@ from functools import cache
 from pathlib import Path
 
 from .baa import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
-from .bounds import (BoundSpec, compose_best_upper, d_grid, evaluate_bound,
-                     limit_large_d_c2, limit_small_d_c2, limit_small_d_c3,
-                     resolve_l_max, sweep_bound, sweep_provenance)
+from .bounds import (BoundSpec, cells_read, compose_best_upper, d_grid,
+                     evaluate_bound, limit_large_d_c2, limit_small_d_c2,
+                     limit_small_d_c3, resolve_l_max, sweep_bound,
+                     sweep_provenance)
 from .channel import DEFAULT_ENTRY_BUDGET
 from .errors import DelcapError, ParameterError, SolverNotConvergedError
 from .lemmas import conjecture2_report, verify_lemma_suite
 from .tables import (DEFAULT_DIAGONAL_L_MAX, DEFAULT_L_MAX, CoefficientTable,
-                     load_table, populate_table, save_table, serialize_table)
+                     _solve_cells, grid_cells, load_table, populate_table,
+                     save_table, serialize_table, unsolved)
 
 CSV_HEADER = "kind,params,d,value,side,tolerance"
 DEFAULT_GRID = (0.01, 0.99, 0.01)
@@ -135,75 +137,52 @@ def build_parser():
     return parser
 
 
-def _gate_long(config, value, what, held=-1):
-    """Refuse a depth past the quick-run limit without --allow-long. A
-    table depth up to `held`, whose rows the --cache file holds, solves
-    nothing and passes; a binomial block length has no such depth."""
-    if value > max(LONG_RUN_LIMIT, held) and not config.allow_long:
+def _gate_long(config, value, what):
+    """Refuse a depth past the quick-run limit without --allow-long."""
+    if value > LONG_RUN_LIMIT and not config.allow_long:
         raise ParameterError(
             f"{what}={value} exceeds the quick-run limit {LONG_RUN_LIMIT};"
             " pass --allow-long to proceed")
 
 
+def _gated(config, table, cells):
+    """The cells of `cells` a solve would fill (unsolved), once the
+    quick-run gate has passed the deepest; cells the table holds pass."""
+    cells = unsolved(table, cells)
+    _gate_long(config, max((L for L, _ in cells), default=-1), "l_max")
+    return cells
+
+
 def _open_table(config):
-    """The context table, the depth the command works to, and the depth
-    the table holds.
+    """The context table and the depth the command works to.
 
     The table is the --cache file when it exists, else a fresh table at
     --l-max or DEFAULT_L_MAX. The depth is --l-max when given, else the
-    table's own depth. The table holds the rows 0..L of the largest L
-    whose every cell the file has at the table's tolerance or tighter,
-    so raising the table to L solves no cell; a fresh table holds
-    nothing, -1.
+    table's own depth.
     """
     if config.l_max is not None and config.l_max < 0:
         raise ParameterError("--l-max must be non-negative")
     kwargs = dict(tolerance=config.solver_tolerance,
                   max_iterations=config.max_iterations,
                   entry_budget=config.entry_budget)
-    held = -1
     if config.cache_path and os.path.exists(config.cache_path):
         table = load_table(config.cache_path, **kwargs)
-        while all(_holds(table, (held + 1, R)) for R in range(held + 2)):
-            held += 1
     else:
         table = CoefficientTable(
             l_max=DEFAULT_L_MAX if config.l_max is None else config.l_max,
             **kwargs)
-    return (table, table.l_max if config.l_max is None else config.l_max,
-            held)
+    return table, table.l_max if config.l_max is None else config.l_max
 
 
-def _holds(table, cell):
-    """Whether the table has cell at its tolerance or tighter, so raising
-    the table over it solves nothing."""
-    entry = table.entries.get(cell)
-    return entry is not None and entry.tolerance <= table.tolerance
-
-
-def _reserve(config, table, held, depth, what="l_max"):
-    """Gate a depth the command may solve cells at, unless the table
-    holds it (_open_table), then raise the table to it. Levels that
-    resolve_l_max reads from the cache solve nothing, so they are never
-    gated."""
-    _gate_long(config, depth, what, held)
-    table.l_max = max(table.l_max, depth)
-
-
-def _family_l_max(config, table, kind, **anchor):
-    if config.l_max is not None:
-        return config.l_max
-    return resolve_l_max(table, kind, **anchor)
-
-
-def _c2_star_l_max(config, table, held, R):
+def _c2_star_l_max(config, table, R):
     """The c2_star depth at an asked-for R, in `bound`, `sweep` and
     `limits` alike: --l-max, else resolved on the table raised to R+1,
     so column R reaches its first solved cell (R+1, R) however shallow
     the cache is."""
-    if config.l_max is None:
-        _reserve(config, table, held, R + 1, "L")
-    return _family_l_max(config, table, "c2_star", R=R)
+    if config.l_max is not None:
+        return config.l_max
+    table.l_max = max(table.l_max, R + 1)
+    return resolve_l_max(table, "c2_star", R=R)
 
 
 def _write_output(config, text):
@@ -241,15 +220,11 @@ def _run_table(config):
         diag = l_max
     if diag < l_max:
         raise ParameterError("--diag-l-max must be at least --l-max")
-    table, _, held = _open_table(config)
+    table, _ = _open_table(config)
     # a cache's full rows past --l-max are filled at --tol as well
-    _reserve(config, table, held, max(l_max, table.l_max))
+    table.l_max = max(table.l_max, l_max)
     diag = max(diag, table.l_max)
-    # the diagonal past the held rows solves only the cells the cache
-    # lacks at --tol; the deepest of them is gated
-    _gate_long(config, max((L for L in range(held + 1, diag + 1)
-                            if not _holds(table, (L, L - 1))), default=-1),
-               "l_max")
+    _gated(config, table, grid_cells(table.l_max, diag))
     populate_table(table, diagonal_l_max=diag)
     if config.cache_path:
         save_table(table, config.cache_path)
@@ -257,13 +232,14 @@ def _run_table(config):
     return 0
 
 
-def _plan_specs(config, table, depth, held):
-    """The BoundSpecs that --kind stands for, with the table reserved to
-    the depth they read.
+def _plan_specs(config, table, depth):
+    """The BoundSpecs that --kind stands for, with the table raised to the
+    depth they read and the cells they read (cells_read) gated and
+    solved in one _solve_cells call, so evaluation solves nothing.
 
     c1_star without --D scans every D up to the depth; `best` takes both
     genie families and c3 up to the depth, plus c4 at --L. The c1_star
-    and c2_star depths are resolved before the table is raised past
+    and c2_star depths are resolved before the table is raised to
     `depth`: a deeper table makes more cells resolvable and would move
     them. The one exception is an asked-for c2_star R, resolved on the
     table raised to R+1 (_c2_star_l_max).
@@ -278,7 +254,8 @@ def _plan_specs(config, table, depth, held):
             kind = "lower_opt" if config.policy == "optimized" else "lower_iud"
         spec = BoundSpec(kind, {"L": config.L})
         if kind == "c3":
-            _reserve(config, table, held, config.L)
+            table.l_max = max(table.l_max, config.L)
+            _solve_cells(table, _gated(config, table, cells_read(spec)))
         else:
             _gate_long(config, config.L, "L")
         return [spec]
@@ -286,7 +263,8 @@ def _plan_specs(config, table, depth, held):
         raise ParameterError("--kind c2_star needs --R")
 
     def family(name, key, anchor, **extra):
-        l_max = _family_l_max(config, table, name, **{key: anchor})
+        l_max = (config.l_max if config.l_max is not None
+                 else resolve_l_max(table, name, **{key: anchor}))
         return BoundSpec(name, {key: anchor, "l_max": l_max, **extra})
 
     if kind == "c1_star":
@@ -295,16 +273,18 @@ def _plan_specs(config, table, depth, held):
         specs = [family("c1_star", "D", D, **tail) for D in counts]
     elif kind == "c2_star":
         specs = [BoundSpec("c2_star", {
-            "R": config.R,
-            "l_max": _c2_star_l_max(config, table, held, config.R)})]
+            "R": config.R, "l_max": _c2_star_l_max(config, table, config.R)})]
     else:
         specs = ([family("c1_star", "D", D) for D in range(depth + 1)]
                  + [family("c2_star", "R", R) for R in range(depth + 1)]
                  + [BoundSpec("c3", {"L": L}) for L in range(1, depth + 1)])
-    _reserve(config, table, held, depth)
+    table.l_max = max(table.l_max, depth)
+    cells = _gated(config, table,
+                   [cell for spec in specs for cell in cells_read(spec)])
     if kind == "best" and config.L is not None:
         _gate_long(config, config.L, "L")
         specs.append(BoundSpec("c4", {"L": config.L}))
+    _solve_cells(table, cells)
     return specs
 
 
@@ -314,8 +294,8 @@ def _run_bound(config):
     if config.kind == "c1_star" and config.D is None:
         raise ParameterError(
             "--kind c1_star needs --D here; only sweeps may omit it")
-    table, depth, held = _open_table(config)
-    (spec,) = _plan_specs(config, table, depth, held)
+    table, depth = _open_table(config)
+    (spec,) = _plan_specs(config, table, depth)
     value = evaluate_bound(spec, config.d, table)
     rows = [(spec.kind, spec.parameters, config.d, value, spec.side,
              table.tolerance)]
@@ -355,8 +335,8 @@ def _pointwise_rows(config, specs, grid, table):
 
 def _run_sweep(config):
     grid = d_grid(*(config.grid if config.grid is not None else DEFAULT_GRID))
-    table, depth, held = _open_table(config)
-    specs = _plan_specs(config, table, depth, held)
+    table, depth = _open_table(config)
+    specs = _plan_specs(config, table, depth)
     if len(specs) > 1:
         rows = _pointwise_rows(config, specs, grid, table)
         provenance = sweep_provenance(table)
@@ -374,32 +354,30 @@ def _run_sweep(config):
 def _run_limits(config):
     if config.L is None and config.R is None:
         raise ParameterError("limits needs --L and/or --R")
-    table, depth, held = _open_table(config)
+    table, _ = _open_table(config)
+    cells = [] if config.L is None else [(config.L, config.L - 1)]
+    if config.R is not None:
+        lm = _c2_star_l_max(config, table, config.R)
+        cells += [(config.R + 1, config.R), (lm, config.R)]
+    _solve_cells(table, _gated(config, table, cells))
     tol = table.tolerance
     rows = []
     if config.L is not None:
-        _gate_long(config, config.L, "L", held)
+        rows.append(("limit_small_d_c3", {"L": config.L}, 0.0,
+                     limit_small_d_c3(config.L, table), "lower", tol))
     if config.R is not None:
-        # resolved before the raise to --L, which would move it
-        lm = _c2_star_l_max(config, table, held, config.R)
-        # the small-d slope's cell
-        _reserve(config, table, held, config.R + 1, "L")
-        _reserve(config, table, held, depth)
         rows += [("limit_small_d_c2", {"R": config.R}, 0.0,
                   limit_small_d_c2(config.R, table), "lower", tol),
                  ("limit_large_d_c2", {"R": config.R, "l_max": lm}, 1.0,
                   limit_large_d_c2(config.R, lm, table), "upper", tol)]
-    if config.L is not None:
-        _reserve(config, table, held, config.L, "L")
-        rows.insert(0, ("limit_small_d_c3", {"L": config.L}, 0.0,
-                        limit_small_d_c3(config.L, table), "lower", tol))
     _write_output(config, _csv(rows))
     return 0
 
 
 def _run_verify(config):
-    table, depth, held = _open_table(config)
-    _reserve(config, table, held, depth)
+    table, depth = _open_table(config)
+    table.l_max = max(table.l_max, depth)
+    _gated(config, table, grid_cells(table.l_max, table.l_max))
     populate_table(table, diagonal_l_max=table.l_max)
     reports = verify_lemma_suite(table)
     _write_output(config,

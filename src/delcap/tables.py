@@ -9,18 +9,19 @@ certified lower bounds on the gap alpha = R - f: one uses that the gap
 never shrinks with block length, the other telescopes the per-step
 shrink factor (1 - D/(L+1)) along the deleted-count diagonal.
 
-One entry, _solve_cells, solves table cells, for populate_table and for
-f_value's miss alike. It first builds every cell's channel in the
-calling process, so the builder's check refuses a cell before any walk
-or fork. It then solves the cells on two processes where it can
-(workers.run_shares): a forked worker takes the deepest full row
-(L = l_max) and the diagonal past it, while the calling process takes
-the shallower rows. Each runs the same serial loop over its share, from
-one count walk, writing each entry into its own copy of the table as it
-solves it; the worker's entries are merged after the caller's, in walk
-order, so the table has the same bytes as a serial build. A stuck cell
-in this process's share raises at once and stops the worker; a stuck
-cell in the worker's share raises once its earlier entries are merged.
+One entry, _solve_cells, solves table cells: the unsolved cells of
+populate_table's grid or of a command's plan, and f_value's miss. It
+first builds every cell's channel in the calling process, so the
+builder's check refuses a cell before any walk or fork. It then solves
+the cells on two processes where it can (workers.run_shares): a forked
+worker takes the deepest full row (L = l_max) and the diagonal past it,
+while the calling process takes the shallower rows. Each runs the same
+serial loop over its share, from one count walk, writing each entry into
+its own copy of the table as it solves it; the worker's entries are
+merged after the caller's, in walk order, so the table has the same
+bytes as a serial build. A stuck cell in this process's share raises at
+once and stops the worker; a stuck cell in the worker's share raises
+once its earlier entries are merged.
 """
 
 import math
@@ -114,7 +115,8 @@ def f_value(L, R, table, side):
 
     Closed-form rows are exact; other cells are served from the cache,
     solved on miss (_solve_cells) when L <= table.l_max, and refused past
-    that.
+    that. A miss walks for its cell alone; only library callers miss, as
+    every command solves the cells it reads first.
     """
     _check_side(side)
     if L < 0 or R < 0 or R > L:
@@ -241,10 +243,26 @@ def _solve_cells(table, cells):
         raise
 
 
+def unsolved(table, cells):
+    """The cells, in the order given, that a solve would fill: those with
+    no closed form (1 < R < L) that the table lacks or holds looser than
+    its tolerance. A cell outside 0 <= R <= L is left to the formula that
+    reads it, which refuses it."""
+    return [(L, R) for L, R in cells if 1 < R < L and not (
+        (L, R) in table.entries
+        and table.entries[L, R].tolerance <= table.tolerance)]
+
+
+def grid_cells(l_max, diagonal_l_max):
+    """The cells populate_table may solve: rows to l_max, then diagonal."""
+    return ([(L, R) for L in range(3, l_max + 1) for R in range(2, L)]
+            + [(L, L - 1) for L in range(l_max + 1, diagonal_l_max + 1)])
+
+
 def populate_table(table, *, diagonal_l_max=None):
     """Fill the full grid up to table.l_max, plus the R = L-1 diagonal up
-    to diagonal_l_max, solving in one _solve_cells call the cells that
-    are missing or were cached at a looser tolerance. Returns the table.
+    to diagonal_l_max, solving its unsolved cells in one _solve_cells
+    call. Returns the table.
     """
     if diagonal_l_max is None:
         diagonal_l_max = table.l_max
@@ -254,10 +272,8 @@ def populate_table(table, *, diagonal_l_max=None):
         for R in {0, min(1, L), L}:
             value = closed_form_f(L, R)
             table.entries[(L, R)] = TableEntry(value, value, 0.0, SOURCE_CLOSED)
-    cells = [(L, R) for L in range(3, table.l_max + 1) for R in range(2, L)]
-    cells += [(L, L - 1) for L in range(table.l_max + 1, diagonal_l_max + 1)]
-    _solve_cells(table, [cell for cell in cells if cell not in table.entries
-                         or table.entries[cell].tolerance > table.tolerance])
+    _solve_cells(table, unsolved(table, grid_cells(table.l_max,
+                                                   diagonal_l_max)))
     return table
 
 

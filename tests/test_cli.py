@@ -10,8 +10,9 @@ import pytest
 import delcap
 from delcap import (DEFAULT_TOLERANCE, BoundSpec, CoefficientTable,
                     TableEntry, bound_c2_star, bound_c3, bound_c4,
-                    compose_best_upper, d_grid, dump_channel, load_table,
-                    lower_bound, populate_table, resolve_l_max, save_table)
+                    compose_best_upper, d_grid, dump_channel,
+                    limit_small_d_c3, load_table, lower_bound,
+                    populate_table, resolve_l_max, save_table)
 from delcap.channel import _count_rows
 from delcap.cli import CSV_HEADER, LONG_RUN_LIMIT, build_parser, main
 from delcap.tables import closed_form_f
@@ -189,12 +190,44 @@ class TestBoundCommand:
                                 "--d-grid", "0.5:0.5:0.1", "--cache", cache)
         assert code == 0
         assert rows_of(scan) == [row]
-        # a depth the command would solve rows at still needs the flag
+        # a diagonal the command would solve cells of still needs the flag
         code, _, err = run_cli(capsys, "bound", "--kind", "c1_star",
-                               "--D", "1", "--d", "0.5", "--l-max", "16",
+                               "--D", "2", "--d", "0.5", "--l-max", "16",
                                "--cache", cache)
         assert code == 1
         assert "--allow-long" in err
+
+    def test_cached_cells_past_the_limit_need_no_allow_long(
+            self, capsys, tmp_path, monkeypatch):
+        # rows to 5 and the single-deletion diagonal to 17: each command
+        # below reads cells past the quick-run limit, all of them cached
+        cache = str(tmp_path / "d17.txt")
+        assert run_cli(capsys, "table", "--l-max", "5", "--diag-l-max", "17",
+                       "--allow-long", "--cache", cache)[0] == 0
+
+        def unsolvable(*args, **kwargs):
+            raise AssertionError("a cell was solved")
+
+        monkeypatch.setattr(delcap.tables, "solve_capacity", unsolvable)
+        d = ("--d", "0.5")
+        for args, params in (
+                (("bound", "--kind", "c2_star", "--R", "16", *d),
+                 "R=16;l_max=17"),
+                (("bound", "--kind", "c1_star", "--D", "1", "--l-max", "16",
+                  *d), "D=1;l_max=16"),
+                (("limits", "--L", "16"), "L=16")):
+            code, out, err = run_cli(capsys, *args, "--cache", cache)
+            assert (code, err) == (0, ""), args
+            (row,) = rows_of(out)
+            assert row[1] == params
+        table = load_table(cache)
+        assert float(row[3]) == limit_small_d_c3(16, table)
+        # its diagonal D=2 stops at 5, so the command would solve (15, 13)
+        # and (16, 14)
+        assert run_cli(capsys, "bound", "--kind", "c1_star", "--D", "2",
+                       "--l-max", "16", *d, "--cache", cache) == (
+            1, "", "error: l_max=16 exceeds the quick-run limit 14; pass"
+                   " --allow-long to proceed\n")
 
     def test_quick_run_gate_passes_the_rows_a_cache_holds(
             self, capsys, tmp_path, monkeypatch):
@@ -534,6 +567,105 @@ class TestVerifyCommand:
         assert any("violations=0" not in line for line in out.splitlines())
 
 
+class TestPlan:
+    # the names the commands evaluate through; a cell solved once one of
+    # them runs is a miss of f_value
+    EVALUATIONS = ("evaluate_bound", "compose_best_upper", "sweep_bound",
+                   "limit_small_d_c3", "limit_small_d_c2", "limit_large_d_c2",
+                   "verify_lemma_suite", "conjecture2_report")
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The cell lists passed to _solve_cells, which refuses a call
+        made once evaluation has begun."""
+        solve = delcap.tables._solve_cells
+        calls, evaluating = [], []
+
+        def planned(table, cells):
+            assert not evaluating, f"solved {cells} while evaluating"
+            calls.append(list(cells))
+            return solve(table, cells)
+
+        def entered(evaluate):
+            def wrapper(*args, **kwargs):
+                evaluating.append(evaluate)
+                return evaluate(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(delcap.tables, "_solve_cells", planned)
+        monkeypatch.setattr(delcap.cli, "_solve_cells", planned)
+        for name in self.EVALUATIONS:
+            monkeypatch.setattr(delcap.cli, name,
+                                entered(getattr(delcap.cli, name)))
+        return calls
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cache"])
+    @pytest.mark.parametrize("args", [
+        ("bound", "--kind", "c1_star", "--D", "3", "--d", "0.4"),
+        ("bound", "--kind", "c2_star", "--R", "6", "--d", "0.4"),
+        ("bound", "--kind", "c3", "--L", "9", "--d", "0.4"),
+        ("bound", "--kind", "c4", "--L", "4", "--d", "0.4"),
+        ("bound", "--kind", "lower", "--L", "4", "--d", "0.4"),
+        ("bound", "--kind", "erasure", "--d", "0.4"),
+        ("sweep", "--kind", "c1_star", "--d-grid", "0.2:0.8:0.3"),
+        ("sweep", "--kind", "best", "--L", "3", "--d-grid", "0.2:0.8:0.3"),
+        ("limits", "--L", "10", "--R", "8"),
+        ("verify",),
+    ], ids=lambda args: "-".join(args[:3]))
+    def test_one_solve_before_evaluation(self, capsys, table_cache_path,
+                                         solves, args, cached):
+        cache = ("--cache", table_cache_path) if cached else ()
+        code, out, err = run_cli(capsys, *args, *cache)
+        assert code == 0, err
+        assert len(solves) <= 1
+        if cached:  # the stock table holds every cell these read
+            assert all(cells == [] for cells in solves)
+
+    def test_cells_looser_than_tol_are_solved_again(self, capsys,
+                                                    table_cache_path):
+        # the stock table's cells are at 0.005; a row read at --tol 0.001
+        # is the row a fresh table solves at 0.001
+        args = ("bound", "--kind", "c3", "--L", "6", "--d", "0.5",
+                "--tol", "0.001")
+        code, cached, _ = run_cli(capsys, *args, "--cache", table_cache_path)
+        assert code == 0
+        assert run_cli(capsys, *args) == (0, cached, "")
+
+    def test_uncached_c3_walks_once(self, capsys, solves, monkeypatch):
+        walk = delcap.tables._cell_folds
+        walks = []
+
+        def counted(cells):
+            walks.append(sorted(cells))
+            return walk(cells)
+
+        monkeypatch.setattr(delcap.tables, "_cell_folds", counted)
+        code, _, err = run_cli(capsys, "bound", "--kind", "c3", "--L", "13",
+                               "--d", "0.5")
+        assert code == 0, err
+        assert solves == walks == [[(13, R) for R in range(2, 13)]]
+
+    @pytest.mark.parametrize("args,label", [
+        (("bound", "--kind", "c2_star", "--R", "20", "--d", "0.5"),
+         "l_max=21"),
+        (("limits", "--R", "20"), "l_max=21"),
+        (("limits", "--L", "16"), "l_max=16"),
+        (("sweep", "--kind", "c3", "--L", "15"), "l_max=15"),
+        (("bound", "--kind", "lower", "--L", "15", "--d", "0.5"), "L=15"),
+        (("sweep", "--kind", "best", "--L", "15"), "L=15"),
+        (("sweep", "--kind", "best", "--l-max", "16", "--L", "15"),
+         "l_max=16"),
+    ], ids=lambda value: "-".join(value[:3]) if isinstance(value, tuple)
+        else value)
+    def test_refusal_labels(self, capsys, solves, args, label):
+        # a cell the command would solve reads l_max=, a c4 or lower
+        # block length L=; either is refused before anything is solved
+        assert run_cli(capsys, *args) == (
+            1, "", f"error: {label} exceeds the quick-run limit 14; pass"
+                   " --allow-long to proceed\n")
+        assert solves == []
+
+
 class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
@@ -557,6 +689,14 @@ class TestExitCodes:
                                "--d", "0.5")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("args,error", [
+        (("--L", "0"), "L must be at least 1, got 0"),
+        (("--R", "-1"), "R must be non-negative, got -1")],
+        ids=["L", "R"])
+    def test_slope_parameters_keep_their_errors(self, capsys, args, error):
+        # the slopes refuse these before any cell they name is solved
+        assert run_cli(capsys, "limits", *args) == (1, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("args,error", [
         (("bound", "--d", "0.5", "--tol", "nan"),

@@ -310,6 +310,13 @@ class TestPopulate:
         assert (5, 3) not in table.entries
         assert table.l_max == 4
 
+    def test_closed_form_diagonal_cells_are_not_solved(self):
+        # (2, 1) has the closed form 1; f_value serves it exactly
+        table = populate_table(CoefficientTable(l_max=1), diagonal_l_max=3)
+        assert [cell for cell, entry in table.entries.items()
+                if entry.source == SOURCE_BAA] == [(3, 2)]
+        assert f_value(2, 1, table, "lower") == 1.0
+
     def test_diagonal_below_l_max_rejected(self):
         with pytest.raises(ParameterError):
             populate_table(CoefficientTable(l_max=5), diagonal_l_max=4)
