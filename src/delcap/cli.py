@@ -226,9 +226,8 @@ def _run_table(config):
     diag = max(diag, table.l_max)
     _gated(config, table, grid_cells(table.l_max, diag))
     populate_table(table, diagonal_l_max=diag)
-    if config.cache_path:
-        save_table(table, config.cache_path)
-    _write_output(config, serialize_table(table))
+    _write_output(config, save_table(table, config.cache_path)
+                  if config.cache_path else serialize_table(table))
     return 0
 
 

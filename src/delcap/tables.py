@@ -301,8 +301,10 @@ def serialize_table(table):
 
 
 def save_table(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_table(table))
+    """Write serialize_table(table) to path, and return that text."""
+    text = serialize_table(table)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def load_table(path, **table_kwargs):

@@ -3,9 +3,13 @@
 run_shares(work, shares) returns [work(share) for share in shares]: the
 calling process runs share 0 and a worker forked at the start runs each
 other share, so every share sees the caller's state as the call began,
-without pickling it. Everything runs in the calling process, share after
-share, on one CPU, without the fork start method, or in a daemonic
-process (a pool's worker), which may have no children.
+without pickling it. A worker ignores SIGINT (the caller stops it), runs
+its share, writes one pickled (failed, result) to its own pipe and
+leaves with os._exit, flushing no buffer it inherited. A thread in it
+ends it once a lifeline pipe, whose one write end the caller holds,
+reads EOF: a caller killed outright takes its workers with it. All runs
+in the calling process for fewer than two shares, on one CPU, without
+os.fork, or in a multiprocessing pool's worker (daemonic: no children).
 
 A process and not a thread, because each solve step makes about twenty
 short numpy calls and threads queue for the interpreter lock between
@@ -15,15 +19,12 @@ median 0.16 s on a two-thread pool against 0.13 s serially (slower in 6
 of 6 alternating runs), while with one forked worker that command plus
 `verify` (the benchmark's `table_build`) took a median 0.15 s against
 0.22 s serially (10 alternating pairs of fresh processes, faster in 10).
-
-multiprocessing is imported with this module, at start-up, and not where
-a command first forks: nothing else a command imports loads the modules
-it needs, so there it would add 5-7 ms to the command's own run.
 """
 
-import multiprocessing
 import os
+import pickle
 import signal
+import sys
 import threading
 
 
@@ -35,34 +36,30 @@ def cpu_count():
         return os.cpu_count() or 1
 
 
-def _fork_context():
-    """The fork start method, or None where this process may not fork a
-    worker: no fork on the platform, or a daemonic process."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _exit_with_parent():
-    """End this worker once its parent is gone: a parent killed outright
-    (SIGKILL, or SIGTERM's default action) cannot stop it itself."""
-    import multiprocessing.connection
-    multiprocessing.connection.wait(
-        [multiprocessing.parent_process().sentinel])
+def _exit_with_parent(lifeline):
+    os.read(lifeline, 1)  # nothing is written: this returns at EOF
     os._exit(1)
 
 
-def _run_in_worker(work, share, sender):
-    """A worker's share: send back (False, work(share)), or (True, the
-    exception it raised)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
+def _run_in_worker(work, share, sender, lifeline, held):
+    """A forked worker's whole life: send back (False, work(share)), or
+    (True, the exception it raised), and exit; code 1 when that fails."""
     try:
-        message = (False, work(share))
-    except Exception as error:  # raised again in the caller
-        message = (True, error)
-    sender.send(message)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(held)  # so only the caller keeps the lifeline open
+        threading.Thread(target=_exit_with_parent, args=(lifeline,),
+                         daemon=True).start()
+        try:
+            message = (False, work(share))
+        except Exception as error:  # raised again in the caller
+            message = (True, error)
+        with open(sender, "wb") as pipe:  # a dump cut short exits with 1
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
+    except Exception:  # the caller raises with this worker's exit code 1
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(1)
 
 
 def run_shares(work, shares):
@@ -71,51 +68,52 @@ def run_shares(work, shares):
 
     Results and exceptions come in share order: share 0's exception
     first, then each worker's in turn, so the one raised is the first a
-    serial run would raise. Every worker is joined on every path, and
-    terminated first when this process fails or is interrupted or a
-    worker's exception is raised; a worker that exits without a result
-    is a RuntimeError naming its exit code. A worker whose parent is
-    killed outright ends itself (_exit_with_parent).
+    serial run would raise. Every worker is reaped once on every path,
+    and sent SIGTERM first when this process fails or is interrupted or
+    a worker's exception is raised; a worker that exits without a result
+    (an unpicklable one included) is a RuntimeError naming its exit code.
     """
-    context = None
-    if len(shares) > 1 and cpu_count() > 1:
-        context = _fork_context()
-    if context is None:
+    multiprocessing = sys.modules.get("multiprocessing")
+    if (len(shares) < 2 or cpu_count() < 2 or not hasattr(os, "fork")
+            or multiprocessing and multiprocessing.current_process().daemon):
         return [work(share) for share in shares]
-    workers, receivers = [], []
+    lifeline, held = os.pipe()
+    pids, pipes = [], []  # the workers not yet reaped, and their pipes
     try:
         for share in shares[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            receivers.append(receiver)
-            worker = context.Process(target=_run_in_worker,
-                                     args=(work, share, sender), daemon=True)
+            receiver, sender = os.pipe()
+            pipes.append(open(receiver, "rb"))
             # OpenBLAS joins its thread pool in a pthread_atfork handler,
             # so the process forks with one thread, and Python 3.12+ has
             # no multi-threaded fork to warn about
             try:
-                worker.start()
+                pid = os.fork()
+                if pid == 0:
+                    _run_in_worker(work, share, sender, lifeline, held)
             finally:
-                sender.close()  # so a worker that dies unheard reads as EOF
-            workers.append(worker)
+                os.close(sender)  # so a worker that dies unheard is EOF
+            pids.append(pid)
         results = [work(shares[0])]
-        for worker, receiver in zip(workers, receivers):
-            try:
-                failed, result = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(
-                    f"a worker exited with code {worker.exitcode}"
-                    " before sending its result") from None
+        for pipe in pipes:
+            message = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code != 0:
+                raise RuntimeError(f"a worker exited with code {code}"
+                                   " before sending its result")
+            failed, result = pickle.loads(message)
             if failed:
                 raise result
             results.append(result)
     except BaseException:
-        for worker in workers:
-            worker.terminate()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for worker in workers:
-            worker.join()
-        for receiver in receivers:
-            receiver.close()
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+        os.close(lifeline)
+        os.close(held)
     return results

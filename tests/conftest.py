@@ -1,6 +1,7 @@
 import os
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from scipy import sparse
@@ -61,6 +62,46 @@ def cpus(count, split_min_entries=0):
                       lambda pid: set(range(count)), raising=False)
         patch.setattr(delcap.baa, "_SPLIT_MIN_ENTRIES", split_min_entries)
         yield
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The workers this process forks, in fork order, each recorded by
+    wrapping os.fork in the parent: its pid, and once os.waitpid reaps
+    it, its wait status and exit code (-N for a signal N)."""
+    forked = []
+    fork, waitpid = os.fork, os.waitpid
+
+    def recorded_fork():
+        pid = fork()
+        if pid:  # in the parent
+            forked.append(SimpleNamespace(pid=pid, status=None,
+                                          exitcode=None))
+        return pid
+
+    def recorded_waitpid(pid, options):
+        reaped, status = waitpid(pid, options)
+        for worker in forked:
+            if reaped and worker.pid == reaped:
+                worker.status = status
+                worker.exitcode = os.waitstatus_to_exitcode(status)
+        return reaped, status
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    return forked
+
+
+def assert_reaped(worker):
+    assert worker.status is not None
+    with pytest.raises(ChildProcessError):  # reaped: no zombie left
+        os.waitpid(worker.pid, os.WNOHANG)
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def package_env(drop=()):

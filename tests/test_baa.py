@@ -20,7 +20,7 @@ from delcap import (BaaResult, ParameterError, build_binomial_deletion_channel,
                     solve_capacity)
 from delcap.channel import SparseChannel, orbit_stack
 
-from conftest import as_scipy, cpus, package_env
+from conftest import as_scipy, assert_no_children, cpus, package_env
 from reference_values import F_REFERENCE, bracket_matches_reference
 
 
@@ -422,7 +422,7 @@ class TestStackedSolve:
         for i, column in enumerate(stacked.columns):
             assert_same_result(column, solve_capacity(
                 delcap.baa._rows(stack, i)))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_error_in_a_worker_stops_every_group(self, monkeypatch):
         # laws 0 and 3 run in this process, 1 and 4 on the first worker,
@@ -444,7 +444,7 @@ class TestStackedSolve:
         with cpus(3), pytest.raises(RuntimeError, match="worker failed"):
             solve_capacity(stack)
         assert time.monotonic() - start < 30
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_interrupt_on_the_calling_thread_stops_every_group(
             self, monkeypatch):
@@ -464,7 +464,7 @@ class TestStackedSolve:
             # the worker's group alone would take minutes
             solve_capacity(stack, 1e-12, 20000)
         assert time.monotonic() - start < 30
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("count, split_min_entries, callback, daemon", [
         (1, 0, False, False),

@@ -62,6 +62,26 @@ class TestTableCommand:
         assert lines[-1].startswith("checksum,")
         assert load_table(cache).l_max == 5
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_serializes_once(self, capsys, tmp_path, monkeypatch, cached):
+        serialize = delcap.tables.serialize_table
+        calls = []
+
+        def counted(table):
+            calls.append(table)
+            return serialize(table)
+
+        monkeypatch.setattr(delcap.tables, "serialize_table", counted)
+        monkeypatch.setattr(delcap.cli, "serialize_table", counted)
+        cache, out = tmp_path / "t.txt", tmp_path / "out.txt"
+        args = ["--cache", str(cache)] if cached else []
+        assert run_cli(capsys, "table", "--l-max", "5", *args,
+                       "--out", str(out)) == (0, "", "")
+        assert len(calls) == 1
+        assert out.read_bytes() == serialize(calls[0]).encode()
+        if cached:
+            assert cache.read_bytes() == out.read_bytes()
+
     def test_each_solved_cell_builds_its_channel_once(self, capsys, tmp_path,
                                                        monkeypatch):
         # bench/tracer.py wraps this name as channel.fixed and reads the

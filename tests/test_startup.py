@@ -1,7 +1,8 @@
 """Start-up: the commands load scipy's compiled sparse kernels alone and
-never import scipy.sparse, and the compressed record's products equal
-scipy's bit for bit. The import checks run in fresh interpreters, since
-this suite imports scipy.sparse itself."""
+never import scipy.sparse, they never import multiprocessing, even where
+they fork, and the compressed record's products equal scipy's bit for
+bit. The import checks run in fresh interpreters, since this suite
+imports scipy.sparse and multiprocessing itself."""
 
 import json
 import subprocess
@@ -67,6 +68,32 @@ print(json.dumps([codes, "scipy.sparse" in sys.modules]))
         codes, imported = run_python(code, json.dumps(commands))
     assert codes == [0] * len(commands)
     assert not imported
+
+
+@pytest.mark.parametrize("argv, forks", [
+    ([], 0),
+    (["table", "--l-max", "6"], 1),
+    (["sweep", "--kind", "c4", "--L", "8"], 1)],
+    ids=["import", "table", "sweep-c4"])
+def test_start_up_and_forks_leave_multiprocessing_unimported(argv, forks):
+    # on two CPUs, with every stack split, both commands fork one worker
+    code = """
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import delcap.baa, delcap.cli
+delcap.baa._SPLIT_MIN_ENTRIES = 0
+forked, fork = [], os.fork
+def counted():
+    pid = fork()
+    forked.extend([pid] if pid else [])
+    return pid
+os.fork = counted
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = delcap.cli.main(argv) if argv else 0
+print(json.dumps([code, len(forked), "multiprocessing" in sys.modules]))
+"""
+    assert run_python(code, json.dumps(argv)) == [0, forks, False]
 
 
 def test_kernels_are_scipys_when_delcap_comes_first():

@@ -24,7 +24,7 @@ from delcap import (CoefficientTable, ExtrapolationRequiredError,
                     load_table, populate_table, save_table, serialize_table)
 from delcap.tables import SOURCE_BAA, SOURCE_CLOSED, TABLE_HEADER
 
-from conftest import cpus
+from conftest import assert_reaped, cpus
 from reference_values import (F_REFERENCE, TABLE_VALUE_TOLERANCE,
                               bracket_matches_reference)
 
@@ -320,27 +320,6 @@ class TestPopulate:
     def test_diagonal_below_l_max_rejected(self):
         with pytest.raises(ParameterError):
             populate_table(CoefficientTable(l_max=5), diagonal_l_max=4)
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """The processes that populate_table starts, in start order."""
-    started = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def recorded(process):
-        started.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        recorded)
-    return started
-
-
-def assert_reaped(worker):
-    assert worker.exitcode is not None
-    with pytest.raises(ChildProcessError):  # joined: no zombie left
-        os.waitpid(worker.pid, os.WNOHANG)
 
 
 def build(count, l_max=6, diagonal_l_max=8):
